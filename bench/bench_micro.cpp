@@ -215,16 +215,21 @@ stream::RecordBatch chain_input(std::size_t n) {
   return in;
 }
 
+// chain_ops()'s callables, named so BM_FusedChainSoA can also run them
+// through row-at-a-time passes.
+constexpr auto kScale = [](double v) { return v * 1.5 + 0.25; };
+constexpr auto kAboveFloor = [](double v) { return v > -1.0; };
+constexpr auto kClamp = [](double v) { return v > 1.0 ? 1.0 : v; };
+constexpr auto kKeepKey = [](std::uint64_t k) { return k % 10 != 0; };
+
 std::vector<std::shared_ptr<stream::Operator>> chain_ops() {
   // Field-typed factories: each stage lowers to a single-column SoA kernel
-  // (value map / value filter / key filter) next to its scalar twin.
+  // (value map / value filter / key filter).
   std::vector<std::shared_ptr<stream::Operator>> ops;
-  ops.push_back(stream::make_value_map("scale", [](double v) { return v * 1.5 + 0.25; }));
-  ops.push_back(stream::make_value_filter("pos", [](double v) { return v > -1.0; }));
-  ops.push_back(
-      stream::make_value_map("clamp", [](double v) { return v > 1.0 ? 1.0 : v; }));
-  ops.push_back(
-      stream::make_key_filter("mod", [](std::uint64_t k) { return k % 10 != 0; }));
+  ops.push_back(stream::make_value_map("scale", kScale));
+  ops.push_back(stream::make_value_filter("pos", kAboveFloor));
+  ops.push_back(stream::make_value_map("clamp", kClamp));
+  ops.push_back(stream::make_key_filter("mod", kKeepKey));
   return ops;
 }
 
@@ -385,10 +390,30 @@ void BM_FusedChain(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedChain)->Arg(0)->Arg(1);
 
+/// Row-at-a-time filter pass instantiated on the concrete predicate:
+/// gather each row, test it, scatter survivors forward.
+template <class F>
+stream::BatchApplyFn row_filter(F keep) {
+  return [keep](stream::RecordBatch& batch) {
+    const std::size_t n = batch.size();
+    std::size_t w = 0;
+    Bytes total = Bytes::zero();
+    for (std::size_t i = 0; i < n; ++i) {
+      const stream::Record r = batch.row(i);
+      if (keep(r)) {
+        batch.set_row(w++, r);
+        total += r.wire_size;
+      }
+    }
+    batch.truncate(w);
+    batch.set_wire_size(total);
+  };
+}
+
 void BM_FusedChainSoA(benchmark::State& state) {
-  // The fused chain's two execution paths over one 4096-record batch:
-  // scalar row-at-a-time passes (arg 0) vs column-wise SoA kernels (arg 1).
-  // Same stages, same survivors — the delta is pure execution-path speed.
+  // chain_ops() over one 4096-record batch two ways: scalar row-at-a-time
+  // passes instantiated on the same callables (arg 0) vs the stages' column
+  // kernels (arg 1). Same survivors — the delta is pure execution-path speed.
   const bool kernels = state.range(0) != 0;
   std::vector<stream::StatelessStage> stages;
   for (const auto& op : chain_ops()) {
@@ -396,11 +421,26 @@ void BM_FusedChainSoA(benchmark::State& state) {
     SAGE_CHECK(ok);
   }
   const stream::FusedStatelessChain chain("fused", std::move(stages));
+  const std::vector<stream::BatchApplyFn> scalar = {
+      stream::make_map_apply([](stream::Record r) {
+        r.value = kScale(r.value);
+        return r;
+      }),
+      row_filter([](const stream::Record& r) { return kAboveFloor(r.value); }),
+      stream::make_map_apply([](stream::Record r) {
+        r.value = kClamp(r.value);
+        return r;
+      }),
+      row_filter([](const stream::Record& r) { return kKeepKey(r.key); })};
   const stream::RecordBatch in = chain_input(4096);
   for (auto _ : state) {
     stream::RecordBatch cur = in;
     for (std::size_t s = 0; s < chain.stage_count() && !cur.empty(); ++s) {
-      chain.apply_stage(s, cur, kernels);
+      if (kernels) {
+        chain.apply_stage(s, cur);
+      } else {
+        scalar[s](cur);
+      }
     }
     benchmark::DoNotOptimize(cur.size());
   }
@@ -494,26 +534,33 @@ BENCHMARK(BM_PlanSparse)->Arg(8)->Arg(64)->Arg(256);
 // Control plane fast path: epoch-cached snapshots and memoized replanning.
 // ---------------------------------------------------------------------------
 
+/// Invalidate every monitored link without moving any estimate: mutable
+/// estimator access marks the link dirty and bumps the sample epoch, so the
+/// next snapshot() re-queries every link — the full rebuild.
+void dirty_all_links(monitor::MonitoringService& service, const cloud::Topology& topo) {
+  for (const cloud::Topology::Edge& e : topo.edges()) {
+    if (e.src != e.dst) benchmark::DoNotOptimize(service.link_estimator(e.src, e.dst));
+  }
+}
+
 void BM_Snapshot(benchmark::State& state) {
-  // MonitoringService::snapshot() with a frozen sample epoch. Arg 1: the
+  // MonitoringService::snapshot() with a frozen sample map. Arg 1: the
   // epoch-validated cache answers with one integer compare. Arg 0: every
-  // call rebuilds all pairs and recomputes estimator stats from the raw
-  // window (the seed's cost).
+  // link is invalidated first, so every call rebuilds all pairs.
   const bool cached = state.range(0) != 0;
   sim::SimEngine engine;
   cloud::CloudProvider provider(engine, cloud::stable_topology(), 5);
   monitor::MonitorConfig config;
   config.probe_interval = SimDuration::minutes(1);
-  config.cache_snapshot = cached;
-  config.estimator.cache_stats = cached;
   monitor::MonitoringService service(provider, config);
   for (cloud::Region r : cloud::kAllRegions) {
     service.register_agent(r, provider.provision(r, cloud::VmSize::kSmall).id);
   }
   service.start();
   engine.run_until(engine.now() + SimDuration::minutes(30));
-  service.stop();  // freeze the epoch: every call below sees the same map
+  service.stop();  // freeze the map: every call below sees the same estimates
   for (auto _ : state) {
+    if (!cached) dirty_all_links(service, provider.topology());
     benchmark::DoNotOptimize(&service.snapshot());
   }
   state.SetItemsProcessed(state.iterations());
@@ -524,22 +571,23 @@ void BM_SnapshotSparse(benchmark::State& state) {
   // Snapshot rebuild cost vs region count on a generated hub-and-spoke
   // topology. The monitor only materializes estimators for declared links
   // (2(N-1) directed WAN pairs here), and the sparse ThroughputMatrix walks
-  // those entries — so the rebuild is O(active links), not O(N^2). Cache
-  // off: every call below pays the full rebuild (the interesting cost).
+  // those entries — so the rebuild is O(active links), not O(N^2). Every
+  // link is invalidated before each call, so each call pays the full
+  // rebuild (the interesting cost), not the epoch check.
   const auto regions = static_cast<std::size_t>(state.range(0));
   sim::SimEngine engine;
   cloud::CloudProvider provider(engine, cloud::hub_and_spoke(regions, /*stable=*/true), 5);
   monitor::MonitorConfig config;
   config.probe_interval = SimDuration::minutes(5);
-  config.cache_snapshot = false;  // measure the rebuild, not the epoch check
   monitor::MonitoringService service(provider, config);
   for (cloud::Region r : provider.topology().regions()) {
     service.register_agent(r, provider.provision(r, cloud::VmSize::kSmall).id);
   }
   service.start();
   engine.run_until(engine.now() + SimDuration::minutes(20));
-  service.stop();  // freeze the epoch: every call below sees the same map
+  service.stop();  // freeze the map: every call below sees the same estimates
   for (auto _ : state) {
+    dirty_all_links(service, provider.topology());
     benchmark::DoNotOptimize(&service.snapshot());
   }
   state.SetItemsProcessed(state.iterations());
@@ -571,10 +619,13 @@ BENCHMARK(BM_Plan)->Arg(0)->Arg(1);
 
 void BM_ReplanSweep(benchmark::State& state) {
   // One coalesced replan sweep over range(0) live transfers with the
-  // monitoring epoch frozen. Arg {N, 1}: every transfer is skipped with a
-  // single integer compare. Arg {N, 0}: every transfer re-runs the planner
-  // against the fresh snapshot — the per-tick adaptation cost the seed paid
-  // for each live transfer regardless of whether anything changed.
+  // monitoring estimates frozen. Arg {N, 1}: the sample epoch is frozen
+  // too, so every transfer is skipped with a single integer compare.
+  // Arg {N, 0}: the epoch moves before every sweep (one link invalidated,
+  // no estimate changed), so every transfer is re-evaluated against a
+  // rebuilt snapshot — the per-tick cost whenever a sample has landed, with
+  // the planner run once per distinct (src, dst, budget) through the plan
+  // cache.
   const auto transfers = static_cast<int>(state.range(0));
   const bool cached = state.range(1) != 0;
   sim::SimEngine engine;
@@ -585,9 +636,6 @@ void BM_ReplanSweep(benchmark::State& state) {
   config.monitoring.probe_interval = SimDuration::minutes(1);
   config.adapt_interval = SimDuration::zero();  // the bench drives the sweep
   config.health_check_interval = SimDuration::zero();
-  config.memoize_control = cached;
-  config.monitoring.cache_snapshot = cached;
-  config.monitoring.estimator.cache_stats = cached;
   core::SageEngine sage(provider, config);
   sage.deploy();
   engine.run_until(engine.now() + SimDuration::minutes(30));  // warm the map
@@ -604,8 +652,12 @@ void BM_ReplanSweep(benchmark::State& state) {
     sage.send(src, dst, Bytes::gb(20), [](stream::SendOutcome) {});
   }
   engine.run_until(engine.now() + SimDuration::seconds(1));  // activate lanes
-  sage.monitoring().stop();  // freeze the sample epoch
+  sage.monitoring().stop();  // freeze the sample map
   for (auto _ : state) {
+    if (!cached) {
+      benchmark::DoNotOptimize(
+          sage.monitoring().link_estimator(cloud::kAllRegions[0], cloud::kAllRegions[1]));
+    }
     benchmark::DoNotOptimize(sage.replan_sweep());
   }
   state.SetItemsProcessed(state.iterations() * transfers);

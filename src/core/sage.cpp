@@ -19,11 +19,12 @@ SageEngine::SageEngine(cloud::CloudProvider& provider, SageConfig config)
   SAGE_CHECK(config_.helpers_per_region >= 0);
   SAGE_CHECK(config_.gateways_per_region >= 1);
   SAGE_CHECK(config_.replan_threshold >= 0.0);
-  // The engine's transfers obey the model's intrusiveness setting; keeping
-  // the two knobs in sync is a class invariant, not a user obligation.
+  // The engine's transfers obey the model's intrusiveness setting, and a
+  // shard lane's probes ride dedicated endpoints; keeping these knobs in
+  // sync is a class invariant, not a user obligation.
   config_.transfer.intrusiveness = config_.model.intrusiveness;
+  config_.monitoring.isolated_probes = config_.shard_lane;
   planner_.set_obs(engine_.obs());
-  ctrl_cache_ = config_.memoize_control && monitor::control_cache_enabled();
   if (obs::Observability* o = engine_.obs(); o != nullptr) {
     obs_replan_skipped_ = o->metrics().counter("sched.replan.skipped");
   }
@@ -84,7 +85,7 @@ sched::Inventory SageEngine::inventory(cloud::Region src, cloud::Region dst) con
     // Shard-local lanes: interior regions read as empty, so the planner can
     // only widen the direct route with source-region scatter helpers —
     // every resulting flow stays on links the source's shard owns.
-    if (config_.shard_local_lanes && r != src && r != dst) continue;
+    if (config_.shard_lane && r != src && r != dst) continue;
     inv[cloud::region_index(r)] = config_.helpers_per_region;
   }
   return inv;
@@ -150,8 +151,7 @@ void SageEngine::send_with(const model::Tradeoff& tradeoff, cloud::Region src,
     inputs.dst = dst;
     inputs.max_nodes = 1 + config_.helpers_per_region;
     const model::TransferEstimate estimate =
-        ctrl_cache_ ? resolve_cache_.resolve(solver_, inputs, tradeoff, matrix.epoch)
-                    : solver_.resolve(inputs, tradeoff);
+        resolve_cache_.resolve(solver_, inputs, tradeoff, matrix.epoch);
     record.estimate = estimate;
     plan = plan_for(matrix, src, dst, estimate.nodes);
     if (obs::Observability* o = engine_.obs(); o != nullptr && o->tracer() != nullptr) {
@@ -166,7 +166,7 @@ void SageEngine::send_with(const model::Tradeoff& tradeoff, cloud::Region src,
 
   cloud::VmId src_gw;
   cloud::VmId dst_gw;
-  if (config_.ephemeral_endpoints) {
+  if (config_.shard_lane) {
     // One fresh endpoint pair per send, released on completion: transfers
     // from differently-owned source regions never share a destination NIC,
     // so their rates are independent of how the regions are sharded.
@@ -187,7 +187,7 @@ void SageEngine::send_with(const model::Tradeoff& tradeoff, cloud::Region src,
   live->dst = dst;
   live->src_gw = src_gw;
   live->dst_gw = dst_gw;
-  live->owns_endpoints = config_.ephemeral_endpoints;
+  live->owns_endpoints = config_.shard_lane;
   live->last_eval_epoch = matrix.epoch;
   std::vector<net::Lane> lanes = build_lanes(plan, src_gw, dst_gw, src);
   record.lanes_used = static_cast<int>(lanes.size());
@@ -244,11 +244,11 @@ std::size_t SageEngine::replan_sweep() {
   const monitor::ThroughputMatrix& matrix = monitoring_->snapshot();
   std::size_t examined = 0;
   for (auto& live : live_) {
-    if (ctrl_cache_ && live->last_eval_epoch == matrix.epoch) {
-      // No sample landed since this transfer was last planned: an uncached
-      // re-plan would reproduce the executing plan exactly and the
-      // threshold test (strict improvement) could never pass, so skipping
-      // is a pure elision — cached and uncached runs stay bit-identical.
+    if (live->last_eval_epoch == matrix.epoch) {
+      // No sample landed since this transfer was last planned: a re-plan
+      // would reproduce the executing plan exactly and the threshold test
+      // (strict improvement) could never pass, so skipping is a pure
+      // elision that never changes a decision.
       ++replans_skipped_;
       if (obs_replan_skipped_ != nullptr) obs_replan_skipped_->add();
       continue;
@@ -281,13 +281,10 @@ void SageEngine::adapt_transfer(LiveTransfer& live,
   ++history_[live.record_index].replans;
 }
 
-sched::MultiPathPlan SageEngine::plan_for(const monitor::ThroughputMatrix& matrix,
-                                          cloud::Region src, cloud::Region dst,
-                                          int node_budget) {
-  if (ctrl_cache_) {
-    return plan_cache_.plan(planner_, matrix, src, dst, inventory(src, dst), node_budget);
-  }
-  return planner_.plan(matrix, src, dst, inventory(src, dst), node_budget);
+const sched::MultiPathPlan& SageEngine::plan_for(const monitor::ThroughputMatrix& matrix,
+                                                 cloud::Region src, cloud::Region dst,
+                                                 int node_budget) {
+  return plan_cache_.plan(planner_, matrix, src, dst, inventory(src, dst), node_budget);
 }
 
 void SageEngine::reap() {

@@ -64,30 +64,28 @@ struct SageConfig {
   /// walks every live transfer at this interval (transfers whose monitoring
   /// epoch is unchanged since their last evaluation are skipped in O(1)).
   SimDuration adapt_interval = SimDuration::seconds(5);
-  /// Memoize control-plane decisions (tradeoff resolution, multipath plans,
-  /// replan-sweep epoch skips) on the monitoring sample epoch. The memos
-  /// are value-preserving — cached and uncached runs are bit-identical —
-  /// so this knob (AND the SAGE_CTRL_CACHE env gate) exists for A/B
-  /// measurement and the differential tests.
-  bool memoize_control = true;
   /// Self-healing: the engine periodically replaces failed gateway/helper
   /// VMs and re-registers monitoring agents. Zero disables it.
   SimDuration health_check_interval = SimDuration::seconds(30);
   /// A fresh plan must promise at least this relative throughput gain to
   /// displace the executing one (hysteresis against monitoring noise).
   double replan_threshold = 0.15;
-  /// Sharded control plane: restrict every transfer's lane topology to VMs
-  /// in the source (and destination endpoint) region, so all of its flows
-  /// cross only links owned by the source region's shard. The planner sees
-  /// zero helper inventory in interior regions and therefore emits
-  /// direct-only plans — relay routes would cross links another lane owns.
-  bool shard_local_lanes = false;
-  /// Sharded control plane: provision a fresh pair of endpoint VMs per
-  /// send (released on completion) instead of round-robining the shared
-  /// gateway pool, so transfers from differently-owned source regions never
-  /// contend on a shared destination NIC — rates then depend only on the
-  /// owning lane's flow population, invariant to the shard count.
-  bool ephemeral_endpoints = false;
+  /// This engine is one lane of a sharded control plane (ShardedSage sets
+  /// it; plain deployments leave it off). A lane keeps each transfer's
+  /// traffic where only the source region's shard can see it, so rates
+  /// depend only on the owning lane's flow population, invariant to the
+  /// shard count:
+  ///   * lane topologies use VMs in the source (and destination endpoint)
+  ///     region only: the planner sees zero helper inventory in interior
+  ///     regions and emits direct-only plans, since relay routes would
+  ///     cross links another lane owns;
+  ///   * each send provisions a fresh pair of endpoint VMs (released on
+  ///     completion) instead of round-robining the shared gateway pool, so
+  ///     sends from differently-owned source regions never contend on a
+  ///     shared destination NIC;
+  ///   * probes run between per-pair dedicated endpoints
+  ///     (`monitoring.isolated_probes` is derived from this flag).
+  bool shard_lane = false;
 };
 
 /// Everything SAGE decided and observed for one send.
@@ -181,8 +179,7 @@ class SageEngine final : public stream::TransferBackend {
   [[nodiscard]] const SageConfig& config() const { return config_; }
   /// VMs replaced by the self-healing loop so far.
   [[nodiscard]] std::uint64_t vms_healed() const { return vms_healed_; }
-  /// Control-plane cache accounting (monotone; all zero when memoization is
-  /// disabled via config or SAGE_CTRL_CACHE=0).
+  /// Control-plane cache accounting (monotone).
   [[nodiscard]] std::uint64_t replans_skipped() const { return replans_skipped_; }
   [[nodiscard]] const sched::PlanCache& plan_cache() const { return plan_cache_; }
   [[nodiscard]] const model::ResolveCache& resolve_cache() const { return resolve_cache_; }
@@ -197,7 +194,7 @@ class SageEngine final : public stream::TransferBackend {
     cloud::VmId src_gw = 0;
     cloud::VmId dst_gw = 0;
     /// Endpoints are per-send leases to release on completion
-    /// (config_.ephemeral_endpoints only).
+    /// (config_.shard_lane only).
     bool owns_endpoints = false;
     /// Monitoring epoch at which this transfer's plan was last (re)evaluated;
     /// the sweep skips the transfer while the epoch stays put.
@@ -209,10 +206,10 @@ class SageEngine final : public stream::TransferBackend {
                                                    cloud::VmId src_gw, cloud::VmId dst_gw,
                                                    cloud::Region src);
   void adapt_transfer(LiveTransfer& live, const monitor::ThroughputMatrix& matrix);
-  /// Memoized (when enabled) planner invocation shared by send and replan.
-  [[nodiscard]] sched::MultiPathPlan plan_for(const monitor::ThroughputMatrix& matrix,
-                                              cloud::Region src, cloud::Region dst,
-                                              int node_budget);
+  /// Memoized planner invocation shared by send and replan.
+  [[nodiscard]] const sched::MultiPathPlan& plan_for(
+      const monitor::ThroughputMatrix& matrix, cloud::Region src, cloud::Region dst,
+      int node_budget);
   void reap();
   void health_check();
 
@@ -233,9 +230,6 @@ class SageEngine final : public stream::TransferBackend {
   std::unique_ptr<sim::PeriodicTask> replan_task_;
   sched::PlanCache plan_cache_;
   model::ResolveCache resolve_cache_;
-  /// Effective memoization switch: config_.memoize_control AND the
-  /// SAGE_CTRL_CACHE env gate, resolved once at construction.
-  bool ctrl_cache_ = true;
   std::uint64_t replans_skipped_ = 0;
   obs::Counter* obs_replan_skipped_ = nullptr;
   std::uint64_t vms_healed_ = 0;

@@ -52,9 +52,7 @@ ShardedSage::ShardedSage(std::shared_ptr<const cloud::Topology> topology,
     // sub-ms drift that depends on the shard count.
     providers_.back()->fabric().set_refresh_grid(true);
     SageConfig lane_cfg = config;
-    lane_cfg.shard_local_lanes = true;
-    lane_cfg.ephemeral_endpoints = true;
-    lane_cfg.monitoring.isolated_probes = true;
+    lane_cfg.shard_lane = true;
     lane_cfg.monitoring.report_delay = report_delay_;
     lane_cfg.monitoring.probe_filter = [this, l](cloud::Region a, cloud::Region) {
       return lane_of(a) == l;

@@ -19,13 +19,15 @@
 //     epoch-keyed plan/resolve/snapshot caches stay value-identical across
 //     lanes without any cross-lane invalidation (the "epoch-merge rule" of
 //     DESIGN.md §16).
-//   - Transfers use shard-local lane topologies (direct routes widened with
-//     source-region scatter helpers) and ephemeral per-send endpoint VMs,
-//     so every flow a lane starts crosses only links its shard owns and
-//     never contends on a NIC with another lane's flows. Combined with a
-//     *stable* (noise-free) topology, flow rates — and thus every control
-//     decision — are invariant to the shard count: S ∈ {1,2,4,...} produce
-//     byte-identical scenario output, and S=1 collapses to one plain lane.
+//   - Each lane engine runs with SageConfig::shard_lane: transfers use
+//     shard-local lane topologies (direct routes widened with source-region
+//     scatter helpers) and ephemeral per-send endpoint VMs, and probes use
+//     dedicated per-pair endpoints, so every flow a lane starts crosses
+//     only links its shard owns and never contends on a NIC with another
+//     lane's flows. Combined with a *stable* (noise-free) topology, flow
+//     rates — and thus every control decision — are invariant to the shard
+//     count: S ∈ {1,2,4,...} produce byte-identical scenario output, and
+//     S=1 collapses to one plain lane.
 //
 // What changes with S is only the wall clock: each lane's fabric holds just
 // its owned flows, so the fabric-wide max-min settlement sweeps (the

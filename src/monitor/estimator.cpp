@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/check.hpp"
 
 namespace sage::monitor {
-
-bool control_cache_enabled() {
-  const char* v = std::getenv("SAGE_CTRL_CACHE");
-  return v == nullptr || std::string_view(v) != "0";
-}
 
 void LastSampleEstimator::add_sample(SimTime, double value) {
   last_ = value;
@@ -42,7 +36,7 @@ void LinearEstimator::recompute() const {
       cached_stddev_ = std::sqrt(r / static_cast<double>(window_.size()));
     }
   }
-  stats_valid_ = cache_on_;
+  stats_valid_ = true;
 }
 
 double LinearEstimator::mean() const {

@@ -63,21 +63,7 @@ struct EstimatorConfig {
   /// Freshness reference interval T: a gap of T or more between samples
   /// yields full freshness weight.
   SimDuration reference_interval = SimDuration::minutes(10);
-  /// Cache mean/stddev between samples (LSI). Purely an evaluation-order
-  /// memo — cached and uncached stats are bit-identical — so this knob
-  /// exists only for A/B measurement and the differential tests.
-  bool cache_stats = true;
 };
-
-/// Process-wide control-plane cache gate: every caching layer introduced by
-/// the control-plane fast path (estimator stat memos, monitoring snapshot
-/// cache, plan/resolve memoization, replan-sweep epoch skip) honours this
-/// in addition to its own config knob. Reads SAGE_CTRL_CACHE from the
-/// environment on every call (callers consult it at construction time
-/// only); any value other than "0" — including unset — enables caching.
-/// Caching layers are value-preserving, so the two settings produce
-/// byte-identical simulations; CI diffs bench output across the gate.
-[[nodiscard]] bool control_cache_enabled();
 
 class Estimator {
  public:
@@ -104,8 +90,7 @@ class LastSampleEstimator final : public Estimator {
 
 class LinearEstimator final : public Estimator {
  public:
-  explicit LinearEstimator(EstimatorConfig config)
-      : config_(config), cache_on_(config.cache_stats && control_cache_enabled()) {}
+  explicit LinearEstimator(EstimatorConfig config) : config_(config) {}
 
   void add_sample(SimTime t, double value) override;
   [[nodiscard]] double mean() const override;
@@ -113,9 +98,9 @@ class LinearEstimator final : public Estimator {
   [[nodiscard]] std::size_t sample_count() const override { return n_; }
 
  private:
-  /// One walk of the window fills both stats: the mean sum, then the
-  /// residual sum around that mean (the exact summation order of the
-  /// original two-method code, so cached values are bit-identical).
+  /// Cache miss: one walk of the window fills both stats — the mean sum,
+  /// then the residual sum around that mean (the two-pass summation order
+  /// estimator_test checks the memo against, bit for bit).
   void recompute() const;
 
   EstimatorConfig config_;
@@ -124,7 +109,6 @@ class LinearEstimator final : public Estimator {
   // Stats memo: valid until the next add_sample. Mutable because the
   // accessors are (and must stay) const — the memo is an evaluation-order
   // cache, not observable state.
-  bool cache_on_ = true;
   mutable bool stats_valid_ = false;
   mutable double cached_mean_ = 0.0;
   mutable double cached_stddev_ = 0.0;

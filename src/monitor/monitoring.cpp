@@ -51,8 +51,7 @@ MonitoringService::MonitoringService(cloud::CloudProvider& provider, MonitorConf
     : provider_(provider),
       engine_(provider.engine()),
       config_(config),
-      region_count_(provider.topology().region_count()),
-      cache_on_(config.cache_snapshot && control_cache_enabled()) {
+      region_count_(provider.topology().region_count()) {
   agents_.resize(region_count_);
   cpu_.resize(region_count_);
   pair_slot_.assign(region_count_ * region_count_, -1);
@@ -282,7 +281,7 @@ LinkEstimate MonitoringService::estimate(cloud::Region src, cloud::Region dst) c
 
 const ThroughputMatrix& MonitoringService::snapshot() const {
   cached_.taken_at = engine_.now();
-  if (cache_on_ && cache_primed_ && cached_.epoch == epoch_) {
+  if (cache_primed_ && cached_.epoch == epoch_) {
     // No sample landed since the last call: the entries cannot have moved.
     ++snapshots_cached_;
     if (obs_cached_ != nullptr) obs_cached_->add();
@@ -290,9 +289,9 @@ const ThroughputMatrix& MonitoringService::snapshot() const {
   }
   for (const auto& link : links_) {
     // Only links that saw samples since the last rebuild re-query their
-    // estimator; the rest keep their (identical) cached entries. With the
-    // cache gated off every link reads as dirty, restoring the full walk.
-    if (cache_on_ && cache_primed_ && !link->dirty) continue;
+    // estimator; the rest keep their (identical) cached entries. Links start
+    // dirty, so the first rebuild queries every one of them.
+    if (!link->dirty) continue;
     cached_.slot(link->src, link->dst) =
         LinkEstimate{link->estimator->mean(), link->estimator->stddev(),
                      link->estimator->sample_count()};

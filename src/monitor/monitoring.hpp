@@ -113,11 +113,6 @@ struct MonitorConfig {
   /// logs" scientists use to understand their cloud application and the
   /// base of the self-healing loop). 0 disables history.
   std::size_t history_capacity = 2048;
-  /// Serve snapshot() from an epoch-validated cache, re-querying only links
-  /// whose estimators saw samples since the last call. Value-preserving by
-  /// construction; the knob (AND the SAGE_CTRL_CACHE gate) exists for A/B
-  /// measurement and the cached-vs-uncached differential tests.
-  bool cache_snapshot = true;
   /// Pair-level probe ownership filter for sharded control planes: when
   /// set, only pairs the filter accepts run an active probe task on this
   /// service. Monitors still exist for every declared pair — the stagger
@@ -138,6 +133,7 @@ struct MonitorConfig {
   /// invariance (pair ownership moves probes between lanes; shared-NIC
   /// contention would make measured rates depend on co-located pairs).
   /// The endpoints are plain fabric nodes — no provider RNG is consumed.
+  /// SageEngine derives it from SageConfig::shard_lane.
   bool isolated_probes = false;
   /// NIC rate of the dedicated probe endpoints (isolated_probes only).
   ByteRate probe_nic = ByteRate::mb_per_sec(125.0);
@@ -292,7 +288,6 @@ class MonitoringService {
   std::uint64_t epoch_ = 0;
   // Snapshot cache: entries are rebuilt lazily per dirty link. `mutable`
   // because snapshot() is const for callers — the cache is pure memo.
-  bool cache_on_ = true;
   mutable ThroughputMatrix cached_;
   mutable bool cache_primed_ = false;
   mutable std::uint64_t snapshots_rebuilt_ = 0;

@@ -13,11 +13,7 @@ void MapOperator::process(int port, const RecordBatch& in, RecordBatch& out) {
     // place exactly as process_batch would — identical output, no
     // per-record gather/append.
     out.append(in);
-    if (kernel_ && soa_kernels_enabled()) {
-      kernel_(out);
-    } else {
-      apply_(out);
-    }
+    apply_(out);
     return;
   }
   const std::size_t n = in.size();
@@ -29,15 +25,11 @@ void MapOperator::process_batch(int port, RecordBatch&& in, RecordBatch& out) {
   SAGE_CHECK_MSG(port == 0, "map has a single input port");
   SAGE_CHECK_MSG(out.empty(), "process_batch writes into an empty batch");
   out.append(std::move(in));
-  if (kernel_ && soa_kernels_enabled()) {
-    kernel_(out);
-  } else {
-    apply_(out);
-  }
+  apply_(out);
 }
 
 bool MapOperator::collect_stages(std::vector<StatelessStage>& stages) const {
-  stages.push_back(StatelessStage{fn_, nullptr, apply_, kernel_, cost_});
+  stages.push_back(StatelessStage{fn_, nullptr, apply_, cost_});
   return true;
 }
 
@@ -48,11 +40,7 @@ void FilterOperator::process(int port, const RecordBatch& in, RecordBatch& out) 
     // exactly as process_batch would — identical survivors, no per-record
     // gather/append.
     out.append(in);
-    if (kernel_ && soa_kernels_enabled()) {
-      kernel_(out);
-    } else {
-      apply_(out);
-    }
+    apply_(out);
     return;
   }
   const std::size_t n = in.size();
@@ -66,15 +54,11 @@ void FilterOperator::process_batch(int port, RecordBatch&& in, RecordBatch& out)
   SAGE_CHECK_MSG(port == 0, "filter has a single input port");
   SAGE_CHECK_MSG(out.empty(), "process_batch writes into an empty batch");
   out.append(std::move(in));
-  if (kernel_ && soa_kernels_enabled()) {
-    kernel_(out);
-  } else {
-    apply_(out);
-  }
+  apply_(out);
 }
 
 bool FilterOperator::collect_stages(std::vector<StatelessStage>& stages) const {
-  stages.push_back(StatelessStage{nullptr, pred_, apply_, kernel_, cost_});
+  stages.push_back(StatelessStage{nullptr, pred_, apply_, cost_});
   return true;
 }
 
@@ -85,6 +69,7 @@ FusedStatelessChain::FusedStatelessChain(std::string name,
   for (const StatelessStage& s : stages_) {
     SAGE_CHECK_MSG((s.map != nullptr) != (s.filter != nullptr),
                    "a stage is exactly one of map / filter");
+    SAGE_CHECK_MSG(s.apply != nullptr, "a stage needs its batch pass");
     SAGE_CHECK(s.cost > 0.0);
   }
 }
@@ -116,9 +101,8 @@ void FusedStatelessChain::process_batch(int port, RecordBatch&& in, RecordBatch&
   // materialized, and each tight per-stage loop keeps a single indirect
   // call target (record-at-a-time cycling through the stages defeats
   // indirect-branch prediction and measures ~30% slower).
-  const bool use_kernel = soa_kernels_enabled();
   for (std::size_t i = 0; i < stages_.size() && !out.empty(); ++i) {
-    apply_stage(i, out, use_kernel);
+    apply_stage(i, out);
   }
 }
 
@@ -133,43 +117,9 @@ bool FusedStatelessChain::collect_stages(std::vector<StatelessStage>& stages) co
   return true;
 }
 
-void FusedStatelessChain::apply_stage(std::size_t i, RecordBatch& batch,
-                                      bool use_kernel) const {
+void FusedStatelessChain::apply_stage(std::size_t i, RecordBatch& batch) const {
   SAGE_CHECK(i < stages_.size());
-  const StatelessStage& s = stages_[i];
-  // Columnar kernel (when the stage lowered to one and the SoA execution
-  // path is on) and scalar batch closure compute identical values; the
-  // kernel just walks single columns instead of gather/scatter per row.
-  if (use_kernel && s.kernel) {
-    s.kernel(batch);
-    return;
-  }
-  if (s.apply) {
-    s.apply(batch);
-    return;
-  }
-  // Stages built by hand without a batch closure fall back to the
-  // per-record gather/scatter form.
-  const std::size_t n = batch.size();
-  Bytes total = Bytes::zero();
-  if (s.map) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const Record m = s.map(batch.row(r));
-      batch.set_row(r, m);
-      total += m.wire_size;
-    }
-  } else {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-      const Record cur = batch.row(r);
-      if (s.filter(cur)) {
-        batch.set_row(w++, cur);
-        total += cur.wire_size;
-      }
-    }
-    batch.truncate(w);
-  }
-  batch.set_wire_size(total);
+  stages_[i].apply(batch);
 }
 
 WindowAggregateOperator::WindowAggregateOperator(std::string name, SimDuration window,

@@ -56,8 +56,8 @@ using BatchApplyFn = std::function<void(RecordBatch&)>;
 /// Wrap a per-record map into a whole-batch scalar pass: gather each row,
 /// apply the callable, scatter it back. Instantiated on the *concrete*
 /// callable type, so the record loop inlines the user lambda — one
-/// type-erased call per batch instead of one per record. This is the
-/// row-at-a-time reference form a stage runs when SoA kernels are off.
+/// type-erased call per batch instead of one per record. This is the batch
+/// pass of a generic record map, which has no columnar form.
 template <class F>
 BatchApplyFn make_map_apply(F f) {
   return [f = std::move(f)](RecordBatch& batch) {
@@ -72,32 +72,12 @@ BatchApplyFn make_map_apply(F f) {
   };
 }
 
-/// Wrap a per-record predicate into a whole-batch scalar in-place
-/// compaction (gather / test / scatter-forward).
-template <class F>
-BatchApplyFn make_filter_apply(F f) {
-  return [f = std::move(f)](RecordBatch& batch) {
-    const std::size_t n = batch.size();
-    std::size_t w = 0;
-    Bytes total = Bytes::zero();
-    for (std::size_t i = 0; i < n; ++i) {
-      const Record r = batch.row(i);
-      if (f(r)) {
-        batch.set_row(w++, r);
-        total += r.wire_size;
-      }
-    }
-    batch.truncate(w);
-    batch.set_wire_size(total);
-  };
-}
-
-// Column-wise stage kernels: the vectorized passes fused stages run when
-// SoA kernels are enabled. Each is instantiated on the concrete callable
-// and walks only the columns it needs — no Record is materialized. Every
-// kernel computes values identical to its scalar `apply` twin (same
-// floating-point operations on the same operands in the same order), so
-// flipping the execution path never changes simulated output.
+// Column-wise stage kernels: the batch passes of filters and of the
+// field-typed factories. Each is instantiated on the concrete callable and
+// walks only the columns it needs — no Record is materialized. Every kernel
+// computes exactly what its stage's record-level map / filter computes row
+// by row (same floating-point operations on the same operands in the same
+// order); the stream tests hold each kernel to that row-at-a-time oracle.
 
 /// Value map `double -> double`: one tight loop over the value column.
 /// Event-time / key / wire columns — and therefore the tracked wire-byte
@@ -293,16 +273,15 @@ BatchApplyFn make_key_filter_kernel(F f) {
 }
 
 /// One stage of a fused stateless chain: exactly one of `map` / `filter`
-/// is set (record-at-a-time semantics), `apply` is the equivalent scalar
-/// whole-batch pass, and `kernel` — when present — is the column-wise
-/// vectorized pass the executor prefers while SoA kernels are enabled.
-/// `cost` is the stage's per-record CPU cost (the runtime models fused
-/// chains stage by stage, so fusion never changes simulated timing).
+/// is set (record-at-a-time semantics), and `apply` is the stage's one
+/// whole-batch pass — the column kernel where a factory lowered one,
+/// otherwise the scalar closure over the concrete callable. `cost` is the
+/// stage's per-record CPU cost (the runtime models fused chains stage by
+/// stage, so fusion never changes simulated timing).
 struct StatelessStage {
   MapFn map;
   FilterPred filter;
   BatchApplyFn apply;
-  BatchApplyFn kernel;
   double cost = 1.0;
 };
 
@@ -351,8 +330,7 @@ class MapOperator final : public Operator {
   using Fn = MapFn;
   /// Templated on the concrete callable so the hot batch path
   /// (`make_map_apply`) inlines it; `fn_` keeps a type-erased copy for the
-  /// record-at-a-time `process` path. Generic record maps have no columnar
-  /// form — the stage runs its scalar pass in either mode.
+  /// record-at-a-time `process` path.
   template <class F>
     requires std::is_invocable_r_v<Record, const F&, const Record&>
   MapOperator(std::string name, F fn, double cost = 1.0)
@@ -361,12 +339,11 @@ class MapOperator final : public Operator {
     SAGE_CHECK(cost_ > 0.0);
   }
   /// Pre-lowered form (the make_value_map factory): a type-erased
-  /// record-at-a-time view plus matching scalar `apply` and columnar
-  /// `kernel` passes built from the same concrete callable.
-  MapOperator(std::string name, MapFn fn, BatchApplyFn apply, BatchApplyFn kernel,
-              double cost)
+  /// record-at-a-time view plus the column kernel built from the same
+  /// concrete callable.
+  MapOperator(std::string name, MapFn fn, BatchApplyFn apply, double cost)
       : name_(std::move(name)), fn_(std::move(fn)), apply_(std::move(apply)),
-        kernel_(std::move(kernel)), cost_(cost) {
+        cost_(cost) {
     SAGE_CHECK(cost_ > 0.0);
   }
 
@@ -380,7 +357,6 @@ class MapOperator final : public Operator {
   std::string name_;
   Fn fn_;
   BatchApplyFn apply_;
-  BatchApplyFn kernel_;  // null for generic record maps
   double cost_;
 };
 
@@ -390,15 +366,14 @@ class FilterOperator final : public Operator {
   template <class F>
     requires std::is_invocable_r_v<bool, const F&, const Record&>
   FilterOperator(std::string name, F pred, double cost = 0.5)
-      : name_(std::move(name)), pred_(pred), apply_(make_filter_apply(pred)),
-        kernel_(make_filter_kernel(std::move(pred))), cost_(cost) {
+      : name_(std::move(name)), pred_(pred), apply_(make_filter_kernel(std::move(pred))),
+        cost_(cost) {
     SAGE_CHECK(cost_ > 0.0);
   }
   /// Pre-lowered form (the make_value_filter / make_key_filter factories).
-  FilterOperator(std::string name, FilterPred pred, BatchApplyFn apply,
-                 BatchApplyFn kernel, double cost)
+  FilterOperator(std::string name, FilterPred pred, BatchApplyFn apply, double cost)
       : name_(std::move(name)), pred_(std::move(pred)), apply_(std::move(apply)),
-        kernel_(std::move(kernel)), cost_(cost) {
+        cost_(cost) {
     SAGE_CHECK(cost_ > 0.0);
   }
 
@@ -412,7 +387,6 @@ class FilterOperator final : public Operator {
   std::string name_;
   Pred pred_;
   BatchApplyFn apply_;
-  BatchApplyFn kernel_;
   double cost_;
 };
 
@@ -435,15 +409,10 @@ class FusedStatelessChain final : public Operator {
 
   [[nodiscard]] std::size_t stage_count() const { return stages_.size(); }
   [[nodiscard]] double stage_cost(std::size_t i) const { return stages_[i].cost; }
-  /// Apply stage `i` to `batch` in place (maps rewrite records, filters
-  /// compact), maintaining the batch's wire-byte accounting. `use_kernel`
-  /// selects the column-wise pass when the stage has one; the scalar pass
-  /// computes identical values (the runtime passes its config flag, other
-  /// callers the process-wide default).
-  void apply_stage(std::size_t i, RecordBatch& batch, bool use_kernel) const;
-  void apply_stage(std::size_t i, RecordBatch& batch) const {
-    apply_stage(i, batch, soa_kernels_enabled());
-  }
+  /// Apply stage `i`'s batch pass to `batch` in place (maps rewrite
+  /// records, filters compact), maintaining the batch's wire-byte
+  /// accounting.
+  void apply_stage(std::size_t i, RecordBatch& batch) const;
 
  private:
   std::string name_;
@@ -634,7 +603,6 @@ template <class F>
     return o;
   };
   return std::make_shared<MapOperator>(std::move(name), MapFn(on_record),
-                                       make_map_apply(on_record),
                                        make_value_map_kernel(std::move(fn)), cost);
 }
 /// Filter on the value alone: `pred` is `double -> bool`.
@@ -644,7 +612,6 @@ template <class F>
                                                           double cost = 0.5) {
   auto on_record = [pred](const Record& r) { return static_cast<bool>(pred(r.value)); };
   return std::make_shared<FilterOperator>(std::move(name), FilterPred(on_record),
-                                          make_filter_apply(on_record),
                                           make_value_filter_kernel(std::move(pred)),
                                           cost);
 }
@@ -655,7 +622,6 @@ template <class F>
                                                         double cost = 0.5) {
   auto on_record = [pred](const Record& r) { return static_cast<bool>(pred(r.key)); };
   return std::make_shared<FilterOperator>(std::move(name), FilterPred(on_record),
-                                          make_filter_apply(on_record),
                                           make_key_filter_kernel(std::move(pred)),
                                           cost);
 }

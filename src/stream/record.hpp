@@ -14,12 +14,6 @@
 // record-at-a-time interchange type: `row(i)` gathers one, `add` scatters
 // one, and `rows()` iterates the batch as materialized records so
 // row-oriented operators and tests keep working unchanged in spirit.
-//
-// Layout is unconditional; what `SAGE_SOA` / `RuntimeConfig::soa_kernels`
-// gates is the *execution path* of fused stages: column-wise kernels
-// (default) versus the scalar row-at-a-time reference loops. Both compute
-// identical values — the flag is a wall-clock knob, never a semantic one
-// (CI diffs every figure bench on-vs-off for byte identity).
 #pragma once
 
 #include <cstddef>
@@ -30,14 +24,6 @@
 #include "common/units.hpp"
 
 namespace sage::stream {
-
-/// Process-wide default for the vectorized column-kernel execution path:
-/// `SAGE_SOA` in the environment (unset/`1` = on, `0` = off), read once.
-/// `RuntimeConfig::soa_kernels` snapshots this default; standalone operator
-/// calls (outside a runtime) consult it directly.
-[[nodiscard]] bool soa_kernels_enabled();
-/// Override the process-wide default (tests and A/B benches).
-void set_soa_kernels_enabled(bool enabled);
 
 struct Record {
   /// Simulated time the event was produced at its source.

@@ -437,7 +437,7 @@ void StreamRuntime::run_fused_stage(VertexId v, RecordBatch batch, std::size_t s
     if (!*alive || !running_) return;
     if (obs_fused_stages_ != nullptr) obs_fused_stages_->add();
     const FusedStatelessChain& chain2 = *states_[v].fused;
-    chain2.apply_stage(stage, batch, config_.soa_kernels);
+    chain2.apply_stage(stage, batch);
     if (!batch.empty() && stage + 1 < chain2.stage_count()) {
       run_fused_stage(v, std::move(batch), stage + 1);
       return;

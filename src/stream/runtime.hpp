@@ -57,11 +57,6 @@ struct RuntimeConfig {
   /// Collapse adjacent same-site stateless operators into fused vertices.
   /// Simulated results are unchanged; this is a wall-clock optimization.
   bool fuse_stateless_chains = true;
-  /// Execute fused stages through their column-wise SoA kernels instead of
-  /// the scalar row-at-a-time passes. Both paths compute identical values —
-  /// like fusion itself, this is a wall-clock knob only. Defaults from the
-  /// `SAGE_SOA` environment variable (on unless set to "0").
-  bool soa_kernels = soa_kernels_enabled();
   /// Fault-injection layer armed for this world: benches consult it to
   /// decide whether to attach a ChaosController. Defaults from the
   /// `SAGE_CHAOS` environment variable (off unless set to "1"); when off,

@@ -1,8 +1,8 @@
 // Fuzz / property suite for the chaos subsystem: 200 seeded random fault
 // schedules, each replayed on the configuration the seed selects from the
-// full grid — fused/unfused pipelines × SoA kernels on/off × shard counts
-// {1, 2, 4} — with every ChaosInvariants check applied afterwards. A failure
-// prints the offending seed and the full schedule so the repro is one line:
+// full grid — fused/unfused pipelines × shard counts {1, 2, 4} — with every
+// ChaosInvariants check applied afterwards. A failure prints the offending
+// seed and the full schedule so the repro is one line:
 //
 //   ./chaos_fuzz_test --gtest_filter='*/ChaosScheduleFuzz.*/<seed>'
 //
@@ -54,17 +54,16 @@ SimTime at(double seconds) { return SimTime::epoch() + SimDuration::seconds(seco
 ByteRate nic() { return ByteRate::megabits_per_sec(200); }
 
 /// The seed picks its own point on the config grid, so 200 seeds cover all
-/// twelve combinations ~17 times each.
+/// six combinations ~33 times each.
 struct FuzzConfig {
   bool fuse;
-  bool soa;
   std::size_t shards;
 };
 
 FuzzConfig config_for(std::uint64_t seed) {
-  const std::uint64_t cell = seed % 12;
+  const std::uint64_t cell = seed % 6;
   static constexpr std::size_t kShards[3] = {1, 2, 4};
-  return FuzzConfig{(cell & 1) != 0, (cell & 2) != 0, kShards[cell / 4]};
+  return FuzzConfig{(cell & 1) != 0, kShards[cell / 2]};
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ void fuzz_fabric_world(std::uint64_t seed, std::size_t shards) {
 // schedule is attacking.
 // ---------------------------------------------------------------------------
 
-void fuzz_stream_world(std::uint64_t seed, bool fuse, bool soa) {
+void fuzz_stream_world(std::uint64_t seed, bool fuse) {
   sim::SimEngine engine;
   obs::ObsConfig cfg;
   cfg.tracing = false;
@@ -211,7 +210,6 @@ void fuzz_stream_world(std::uint64_t seed, bool fuse, bool soa) {
   stream::RuntimeConfig rc;
   rc.seed = seed;
   rc.fuse_stateless_chains = fuse;
-  rc.soa_kernels = soa;
   rc.geo_batch_max_bytes = Bytes::kb(64);
   rc.geo_batch_max_delay = SimDuration::millis(250);
   stream::StreamRuntime runtime(provider, g, backend, rc);
@@ -221,7 +219,7 @@ void fuzz_stream_world(std::uint64_t seed, bool fuse, bool soa) {
                                      engine.now() + SimDuration::seconds(2),
                                      SimDuration::seconds(15), 6);
   SCOPED_TRACE("seed=" + std::to_string(seed) + " fuse=" + std::to_string(fuse) +
-               " soa=" + std::to_string(soa) + "\nschedule:\n" + plan.describe());
+               "\nschedule:\n" + plan.describe());
   ChaosController chaos(engine, ChaosTargets{&provider.fabric(), &monitoring},
                         std::move(plan), /*enabled=*/true);
 
@@ -328,7 +326,7 @@ TEST_P(ChaosScheduleFuzz, InvariantsHoldUnderRandomSchedule) {
   const std::uint64_t seed = GetParam();
   const FuzzConfig fc = config_for(seed);
   fuzz_fabric_world(seed, fc.shards);
-  fuzz_stream_world(seed, fc.fuse, fc.soa);
+  fuzz_stream_world(seed, fc.fuse);
   if (seed % 10 == 7) fuzz_plane_world(seed, fc.shards);
 }
 

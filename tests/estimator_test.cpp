@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <deque>
+
 #include "common/rng.hpp"
 
 namespace sage::monitor {
@@ -160,20 +163,33 @@ TEST(LinearTest, WindowEvictsExactlyAtHistoryBoundary) {
 }
 
 TEST(LinearTest, CachedStatsMatchUncachedBitForBit) {
-  // The stats memo is an evaluation-order cache: with identical inputs the
-  // cached and uncached estimators must agree to the last bit, including
-  // when queries interleave with updates (partial-window recomputes).
-  LinearEstimator cached(EstimatorConfig{.history = 8, .cache_stats = true});
-  LinearEstimator uncached(EstimatorConfig{.history = 8, .cache_stats = false});
+  // The stats memo is an evaluation-order cache: every read must equal, to
+  // the last bit, the two-pass mean / population stddev of the resident
+  // window computed from scratch — including partial windows and repeated
+  // reads served from the memo.
+  constexpr std::size_t kHistory = 8;
+  LinearEstimator cached(EstimatorConfig{.history = kHistory});
+  std::deque<double> window;
   Rng rng(17);
   for (int i = 0; i < 200; ++i) {
     const double v = rng.uniform(0.5, 25.0);
     cached.add_sample(at_minutes(i), v);
-    uncached.add_sample(at_minutes(i), v);
-    // Query twice so the second cached read is served from the memo.
-    EXPECT_DOUBLE_EQ(cached.mean(), uncached.mean());
-    EXPECT_DOUBLE_EQ(cached.mean(), uncached.mean());
-    EXPECT_DOUBLE_EQ(cached.stddev(), uncached.stddev());
+    window.push_back(v);
+    if (window.size() > kHistory) window.pop_front();
+
+    double sum = 0.0;
+    for (double x : window) sum += x;
+    const double mean = sum / static_cast<double>(window.size());
+    double residual = 0.0;
+    for (double x : window) residual += (x - mean) * (x - mean);
+    const double stddev =
+        window.size() < 2 ? 0.0 : std::sqrt(residual / static_cast<double>(window.size()));
+
+    // Read twice so the second read is served from the memo.
+    EXPECT_EQ(cached.mean(), mean);
+    EXPECT_EQ(cached.mean(), mean);
+    EXPECT_EQ(cached.stddev(), stddev);
+    EXPECT_EQ(cached.stddev(), stddev);
   }
 }
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "test_util.hpp"
@@ -211,44 +214,53 @@ TEST_F(MonitoringFixture, CachedSnapshotRefreshesTakenAtAndTracksNow) {
   EXPECT_EQ(service->snapshots_cached(), 1u);
 }
 
-TEST_F(MonitoringFixture, CachedAndUncachedSnapshotsAgreeExactly) {
+TEST_F(MonitoringFixture, CachedSnapshotsMatchOracleEstimatorsExactly) {
+  // Oracle: a test-side estimator per pair, fed every accepted sample
+  // through the sample hook. Each snapshot entry must equal its oracle's
+  // stats to the last bit, however many rebuilds the cache skipped.
   config.probe_interval = SimDuration::minutes(1);
-  auto cached_service = make({kNEU, kNUS, kWEU});
-  MonitorConfig uncached_config = config;
-  uncached_config.cache_snapshot = false;
-  uncached_config.estimator.cache_stats = false;
-  // A second service over the same provider would double the probe traffic
-  // and change what both observe, so feed both identical synthetic samples.
-  auto uncached_service =
-      std::make_unique<MonitoringService>(*world.provider, uncached_config);
-  for (Region r : {kNEU, kNUS, kWEU}) {
-    uncached_service->register_agent(
-        r, world.provider->provision(r, VmSize::kSmall).id);
-  }
+  auto service = make({kNEU, kNUS, kWEU});
+  std::map<std::pair<Region, Region>, std::unique_ptr<Estimator>> oracle;
+  service->set_sample_hook([&](Region a, Region b, SimTime t, double mbps) {
+    std::unique_ptr<Estimator>& e = oracle[{a, b}];
+    if (!e) e = make_estimator(config.kind, config.estimator);
+    e->add_sample(t, mbps);
+  });
+  service->start();
   Rng rng(29);
   const Region regions[] = {kNEU, kNUS, kWEU};
   for (int i = 0; i < 200; ++i) {
     const Region a = regions[rng.uniform_int(0, 2)];
     const Region b = regions[rng.uniform_int(0, 2)];
-    if (a == b) continue;
-    const auto rate = ByteRate::mb_per_sec(rng.uniform(1.0, 20.0));
-    cached_service->report_transfer_observation(a, b, rate);
-    uncached_service->report_transfer_observation(a, b, rate);
-    if (i % 7 == 0) {
-      const ThroughputMatrix& c = cached_service->snapshot();
-      const ThroughputMatrix& u = uncached_service->snapshot();
+    if (a != b) {
+      service->report_transfer_observation(a, b,
+                                           ByteRate::mb_per_sec(rng.uniform(1.0, 20.0)));
+    }
+    if (i % 7 != 0) continue;
+    // Let real probes land between reads, then read twice: the second read
+    // is a cache hit and must still match.
+    world.engine.run_until(world.engine.now() + SimDuration::seconds(20));
+    for (int read = 0; read < 2; ++read) {
+      const ThroughputMatrix& m = service->snapshot();
       for (Region x : regions) {
         for (Region y : regions) {
-          EXPECT_DOUBLE_EQ(c.at(x, y).mean_mbps, u.at(x, y).mean_mbps);
-          EXPECT_DOUBLE_EQ(c.at(x, y).stddev_mbps, u.at(x, y).stddev_mbps);
-          EXPECT_EQ(c.at(x, y).samples, u.at(x, y).samples);
+          const auto it = oracle.find({x, y});
+          if (it == oracle.end()) {
+            EXPECT_EQ(m.at(x, y).samples, 0u);
+            continue;
+          }
+          EXPECT_EQ(m.at(x, y).mean_mbps, it->second->mean());
+          EXPECT_EQ(m.at(x, y).stddev_mbps, it->second->stddev());
+          EXPECT_EQ(m.at(x, y).samples, it->second->sample_count());
         }
       }
     }
   }
-  // The cached service actually exercised the lazy-rebuild path.
-  EXPECT_GT(cached_service->snapshots_rebuilt(), 0u);
-  EXPECT_EQ(uncached_service->snapshots_cached(), 0u);
+  service->stop();
+  // Both cache paths ran: rebuilds after new samples, hits on re-reads.
+  EXPECT_GT(service->snapshots_rebuilt(), 0u);
+  EXPECT_GT(service->snapshots_cached(), 0u);
+  EXPECT_GT(service->probes_sent(), 0u);
 }
 
 }  // namespace

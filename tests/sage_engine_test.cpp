@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
@@ -274,41 +273,6 @@ TEST_F(SageFixture, ControlPlaneMemosCollapseIdenticalDecisions) {
     ASSERT_TRUE(engine->history()[i].estimate.has_value());
     EXPECT_EQ(engine->history()[i].estimate->nodes, engine->history()[0].estimate->nodes);
   }
-}
-
-TEST(SageCacheDifferentialTest, MemoizedAndUnmemoizedRunsAgreeExactly) {
-  // The whole control-plane cache stack (estimator stats, snapshot cache,
-  // plan/resolve memos, sweep epoch skip) is value-preserving: two
-  // otherwise-identical simulations must take every decision identically,
-  // down to exact completion times.
-  auto run = [](bool memoize) {
-    StableWorld world;
-    SageConfig config;
-    config.regions = {kNEU, kWEU, kEUS, kNUS};
-    config.helpers_per_region = 4;
-    config.monitoring.probe_interval = SimDuration::minutes(1);
-    config.memoize_control = memoize;
-    config.monitoring.cache_snapshot = memoize;
-    config.monitoring.estimator.cache_stats = memoize;
-    SageEngine engine(*world.provider, config);
-    engine.deploy();
-    world.engine.run_until(world.engine.now() + SimDuration::minutes(15));
-    int done = 0;
-    for (int i = 0; i < 3; ++i) {
-      engine.send(kNEU, kNUS, Bytes::mb(40), [&](const SendOutcome& o) {
-        EXPECT_TRUE(o.ok);
-        ++done;
-      });
-    }
-    EXPECT_TRUE(
-        run_until(world.engine, [&] { return done == 3; }, SimDuration::hours(6)));
-    std::vector<std::tuple<double, int, int>> decisions;
-    for (const SendRecord& r : engine.history()) {
-      decisions.emplace_back(r.elapsed.to_seconds(), r.lanes_used, r.replans);
-    }
-    return decisions;
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 }  // namespace
