@@ -74,10 +74,12 @@ void GeoTransfer::reset_lanes(std::vector<Lane> lanes) {
   // Retire the current lane set. Chunks parked at relay queues restart
   // from the source; chunks already flying complete (or fail) against the
   // retired state and are routed onward by their own callbacks.
+  const auto alive = alive_;
   for (auto& old : lanes_) {
     old->dead = true;
     old->retired = true;
     drain_waiting(*old);
+    if (!*alive) return;
   }
   lanes_.clear();
 
@@ -139,11 +141,15 @@ cloud::FlowOptions GeoTransfer::hop_flow_options(cloud::VmId sender) const {
 
 void GeoTransfer::pump() {
   if (!running_ || finished_) return;
+  const auto alive = alive_;
   // Relay hops drain their own queues first, then first hops drain the
   // shared pool round-robin across lanes.
   for (auto& lane : lanes_) {
     if (lane->dead) continue;
-    for (std::size_t h = 1; h < lane->hops.size(); ++h) pump_hop(lane, h);
+    for (std::size_t h = 1; h < lane->hops.size(); ++h) {
+      pump_hop(lane, h);
+      if (!*alive) return;
+    }
   }
   bool progress = true;
   while (progress && !pool_.empty()) {
@@ -167,6 +173,7 @@ void GeoTransfer::pump() {
       }
       arm_timeout(chunk);
       send_hop(lane, chunk, 0);
+      if (!*alive) return;
       progress = true;
     }
   }
@@ -174,10 +181,12 @@ void GeoTransfer::pump() {
 
 void GeoTransfer::pump_hop(const std::shared_ptr<LaneState>& lane, std::size_t hop) {
   HopState& state = lane->hops[hop];
+  const auto alive = alive_;
   while (state.free_slots > 0 && !state.waiting.empty()) {
     const int chunk = state.waiting.front();
     state.waiting.pop_front();
     send_hop(lane, chunk, hop);
+    if (!*alive) return;
   }
 }
 
@@ -185,23 +194,28 @@ void GeoTransfer::send_hop(const std::shared_ptr<LaneState>& lane, int chunk,
                            std::size_t hop) {
   const cloud::VmId sender = lane->lane.path[hop];
   const cloud::VmId receiver = lane->lane.path[hop + 1];
+  auto alive = alive_;
   if (!provider_.is_active(sender) || !provider_.is_active(receiver)) {
     ++stats_.hop_failures;
     if (obs_hop_failures_ != nullptr) obs_hop_failures_->add();
     --chunks_[static_cast<std::size_t>(chunk)].in_flight;
     --lane->in_lane;
     kill_lane(*lane);
+    if (!*alive) return;
     requeue(chunk, /*count_attempt=*/true);
+    if (!*alive) return;
     pump();
     return;
   }
 
   --lane->hops[hop].free_slots;
   const Bytes size = chunks_[static_cast<std::size_t>(chunk)].size;
-  auto alive = alive_;
   const cloud::FlowId fid = provider_.transfer(
       sender, receiver, size, hop_flow_options(sender),
       [this, alive, lane, chunk, hop](const cloud::FlowResult& r) {
+        // Every call below that can reach finish() runs the done callback,
+        // which may destroy this transfer (a backend reaping finished
+        // transfers from a re-entrant send); stop as soon as it is gone.
         if (!*alive) return;
         std::erase(active_flows_, r.id);
         if (finished_) return;
@@ -212,7 +226,9 @@ void GeoTransfer::send_hop(const std::shared_ptr<LaneState>& lane, int chunk,
           --chunks_[static_cast<std::size_t>(chunk)].in_flight;
           --lane->in_lane;
           if (!lane->retired) kill_lane(*lane);
+          if (!*alive) return;
           requeue(chunk, /*count_attempt=*/true);
+          if (!*alive) return;
           pump();
           return;
         }
@@ -229,6 +245,7 @@ void GeoTransfer::send_hop(const std::shared_ptr<LaneState>& lane, int chunk,
           --lane->in_lane;
           requeue(chunk, /*count_attempt=*/false);
         }
+        if (!*alive) return;
         pump();
       });
   active_flows_.push_back(fid);
@@ -252,6 +269,7 @@ void GeoTransfer::arm_timeout(int chunk) {
     ++stats_.retransmissions;
     if (obs_retransmissions_ != nullptr) obs_retransmissions_->add();
     requeue(chunk, /*count_attempt=*/true);
+    if (!*alive) return;
     pump();
   });
 }
@@ -301,11 +319,13 @@ void GeoTransfer::on_delivered(LaneState& lane, int chunk) {
 }
 
 void GeoTransfer::drain_waiting(LaneState& lane) {
+  const auto alive = alive_;
   for (std::size_t h = 1; h < lane.hops.size(); ++h) {
     for (int chunk : lane.hops[h].waiting) {
       --chunks_[static_cast<std::size_t>(chunk)].in_flight;
       --lane.in_lane;
       requeue(chunk, /*count_attempt=*/false);
+      if (!*alive) return;
     }
     lane.hops[h].waiting.clear();
   }
@@ -314,7 +334,9 @@ void GeoTransfer::drain_waiting(LaneState& lane) {
 void GeoTransfer::kill_lane(LaneState& lane) {
   if (lane.dead) return;
   lane.dead = true;
+  const auto alive = alive_;
   drain_waiting(lane);
+  if (!*alive) return;
   // If every current lane is dead and work remains, the transfer cannot
   // finish. Retired lanes do not count: a reset always installs live ones.
   const bool any_alive =

@@ -133,15 +133,17 @@ void run_metareduce(sim::SimEngine& engine, stream::TransferBackend& backend,
 
   // One pull-loop per site with bounded in-flight files. The loop closure
   // must outlive this scope (completions fire later), so it lives in a
-  // shared holder that the closure captures.
+  // shared holder that each in-flight completion keeps alive. The closure
+  // itself holds the holder weakly; a strong self-reference would be a
+  // cycle that outlives the run.
   auto holder = std::make_shared<std::function<void(std::size_t)>>();
-  *holder = [st, holder](std::size_t site_idx) {
+  *holder = [st, self = std::weak_ptr(holder)](std::size_t site_idx) {
     State& s = *st;
     if (s.next_file[site_idx] >= s.params.files_per_site) return;
     ++s.next_file[site_idx];
     const cloud::Region site = s.params.sites[site_idx];
     s.backend->send(site, s.params.reducer_site, s.params.file_size,
-                    [st, holder, site_idx](const stream::SendOutcome& o) {
+                    [st, holder = self.lock(), site_idx](const stream::SendOutcome& o) {
                       State& s2 = *st;
                       if (o.ok) {
                         ++s2.result.files_moved;

@@ -108,6 +108,31 @@ TEST_F(BaselinesFixture, BackendsHandleConcurrentSends) {
   ASSERT_TRUE(run_until(world.engine, [&] { return done == 5; }, SimDuration::hours(2)));
 }
 
+TEST_F(BaselinesFixture, DoneCallbackMaySendAgainWhenAHopNodeFails) {
+  // Failing the receiving gateway aborts the hop flows, which kills the
+  // transfer's only lane, so the transfer finishes from inside its own
+  // hop-flow callback. The done callback sends again, and send() first
+  // reaps finished transfers, destroying the one still unwinding. The
+  // transfer must not touch itself after its done callback returns.
+  DirectBackend backend(pool);
+  int failed = 0;
+  bool resent = false;
+  backend.send(kNEU, kNUS, Bytes::mb(200), [&](const SendOutcome& o) {
+    EXPECT_FALSE(o.ok);
+    ++failed;
+    backend.send(kNEU, Region::kWestEU, Bytes::mb(5), [&](const SendOutcome& again) {
+      EXPECT_TRUE(again.ok);
+      resent = true;
+    });
+  });
+  world.engine.run_until(world.engine.now() + SimDuration::seconds(5));
+  ASSERT_EQ(failed, 0);
+  world.provider->fail_vm(pool.gateway(kNUS));
+  EXPECT_EQ(failed, 1);
+  EXPECT_TRUE(run_until(world.engine, [&] { return resent; }, SimDuration::hours(2)));
+  EXPECT_EQ(failed, 1);
+}
+
 TEST_F(BaselinesFixture, NamesAreDistinct) {
   DirectBackend a(pool);
   SimpleParallelBackend b(pool, 2);
