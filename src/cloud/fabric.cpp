@@ -29,6 +29,8 @@ Fabric::Fabric(sim::SimEngine& engine, std::shared_ptr<const Topology> topology,
   link_count_.resize(wan_links_, 0);
   link_stamp_.resize(wan_links_, 0);
   link_visit_.resize(wan_links_, 0);
+  link_root_.resize(wan_links_, 0);
+  link_comp_.resize(wan_links_, 0);
   if (obs::Observability* o = engine_.obs()) {
     auto& m = o->metrics();
     obs_ = std::make_unique<ObsCells>();
@@ -108,32 +110,33 @@ NodeId Fabric::add_node(Region region, ByteRate nic_up, ByteRate nic_down) {
   link_count_.resize(links, 0);
   link_stamp_.resize(links, 0);
   link_visit_.resize(links, 0);
+  link_root_.resize(links, 0);
+  link_comp_.resize(links, 0);
   return static_cast<NodeId>(nodes_.size() - 1);
+}
+
+template <typename Mutate>
+void Fabric::mutate_scoped(std::initializer_list<std::size_t> seeds, Mutate&& mutate) {
+  auto flows = take_ptrs();
+  collect_components(0, seeds, flows);
+  advance_flows(flows);
+  auto ids = take_ids();
+  ids.reserve(flows.size());
+  for (const Flow* fp : flows) ids.push_back(fp->id);
+  mutate();
+  resolve_live(ids, flows);  // membership changed; drop the aborted flows
+  put_ids(std::move(ids));
+  settle_flows(flows);
+  put_ptrs(std::move(flows));
 }
 
 void Fabric::set_node_failed(NodeId node, bool failed) {
   SAGE_CHECK(node < nodes_.size());
   if (nodes_[node].failed == failed) return;
-  auto flows = take_ptrs();
-  if (grid_refresh_) {
-    // Scoped mutation (grid mode): only components touching the node's NIC
-    // links can see a rate change, so only they are brought current. This
-    // keeps lane-local events — a transfer releasing its ephemeral
-    // endpoints calls this with zero flows left on the node — from adding
-    // advancement points (and byte-truncation drift) to unrelated
-    // components, which is what shard-count invariance rests on.
-    collect_link_components({wan_links_ + static_cast<std::size_t>(node) * 2,
-                             wan_links_ + static_cast<std::size_t>(node) * 2 + 1},
-                            flows);
-  } else {
-    collect_all_active(flows);
-  }
-  advance_flows(flows);
-  auto ids = take_ids();
-  ids.reserve(flows.size());
-  for (const Flow* fp : flows) ids.push_back(fp->id);
-  nodes_[node].failed = failed;
-  if (failed) {
+  const std::size_t up = wan_links_ + static_cast<std::size_t>(node) * 2;
+  mutate_scoped({up, up + 1}, [&] {
+    nodes_[node].failed = failed;
+    if (!failed) return;
     auto doomed = take_ids();
     for (const auto& [id, f] : flows_) {
       if (f.src == node || f.dst == node) doomed.push_back(id);
@@ -142,15 +145,7 @@ void Fabric::set_node_failed(NodeId node, bool failed) {
     std::sort(doomed.begin(), doomed.end());
     for (FlowId id : doomed) finish_flow(id, FlowOutcome::kFailed);
     put_ids(std::move(doomed));
-  }
-  if (grid_refresh_) {
-    resolve_live(ids, flows);  // membership changed; drop the aborted flows
-  } else {
-    collect_all_active(flows);  // membership changed; re-snapshot
-  }
-  put_ids(std::move(ids));
-  settle_flows(flows);
-  put_ptrs(std::move(flows));
+  });
 }
 
 bool Fabric::node_failed(NodeId node) const {
@@ -171,20 +166,9 @@ void Fabric::set_link_chaos_scale(Region a, Region b, double scale, bool abort_f
     chaos_scale_.assign(wan_links_, 1.0);
   }
   if (chaos_scale_[link] == scale && !abort_flows) return;
-  // Same shape as set_node_failed: bring the affected flows current at the
-  // old rates, mutate, abort doomed flows in id order, then re-settle.
-  auto flows = take_ptrs();
-  if (grid_refresh_) {
-    collect_link_components({link}, flows);  // scoped, see set_node_failed
-  } else {
-    collect_all_active(flows);
-  }
-  advance_flows(flows);
-  auto ids = take_ids();
-  ids.reserve(flows.size());
-  for (const Flow* fp : flows) ids.push_back(fp->id);
-  chaos_scale_[link] = scale;
-  if (abort_flows) {
+  mutate_scoped({link}, [&] {
+    chaos_scale_[link] = scale;
+    if (!abort_flows) return;
     auto doomed = take_ids();
     for (const auto& [id, f] : flows_) {
       if (f.links[1] == link) doomed.push_back(id);
@@ -192,15 +176,7 @@ void Fabric::set_link_chaos_scale(Region a, Region b, double scale, bool abort_f
     std::sort(doomed.begin(), doomed.end());
     for (FlowId id : doomed) finish_flow(id, FlowOutcome::kFailed);
     put_ids(std::move(doomed));
-  }
-  if (grid_refresh_) {
-    resolve_live(ids, flows);
-  } else {
-    collect_all_active(flows);  // membership changed; re-snapshot
-  }
-  put_ids(std::move(ids));
-  settle_flows(flows);
-  put_ptrs(std::move(flows));
+  });
 }
 
 void Fabric::set_link_chaos_latency(Region a, Region b, SimDuration extra) {
@@ -223,29 +199,13 @@ std::size_t Fabric::chaos_drop_pair_flows(Region a, Region b, std::size_t max_fl
   if (doomed.size() > max_flows) doomed.resize(max_flows);
   std::size_t dropped = 0;
   if (!doomed.empty()) {
-    auto flows = take_ptrs();
-    if (grid_refresh_) {
-      collect_link_components({link}, flows);  // scoped, see set_node_failed
-    } else {
-      collect_all_active(flows);
-    }
-    advance_flows(flows);
-    auto ids = take_ids();
-    ids.reserve(flows.size());
-    for (const Flow* fp : flows) ids.push_back(fp->id);
-    for (FlowId id : doomed) {
-      if (flows_.count(id) == 0) continue;  // the advance completed it first
-      finish_flow(id, FlowOutcome::kFailed);
-      ++dropped;
-    }
-    if (grid_refresh_) {
-      resolve_live(ids, flows);
-    } else {
-      collect_all_active(flows);
-    }
-    put_ids(std::move(ids));
-    settle_flows(flows);
-    put_ptrs(std::move(flows));
+    mutate_scoped({link}, [&] {
+      for (FlowId id : doomed) {
+        if (flows_.count(id) == 0) continue;  // the advance completed it first
+        finish_flow(id, FlowOutcome::kFailed);
+        ++dropped;
+      }
+    });
   }
   put_ids(std::move(doomed));
   return dropped;
@@ -361,7 +321,7 @@ FlowId Fabric::start_flow(NodeId src, NodeId dst, Bytes size, FlowOptions option
     flow.last_progress = engine_.now();
     activate_flow(flow);
     auto flows = take_ptrs();
-    collect_component(id, flows);
+    collect_components(id, {}, flows);
     advance_flows(flows);  // neighbours progress at old rates before re-settling
     settle_flows(flows);
     put_ptrs(std::move(flows));
@@ -373,7 +333,7 @@ FlowId Fabric::start_flow(NodeId src, NodeId dst, Bytes size, FlowOptions option
 void Fabric::cancel_flow(FlowId id) {
   if (flows_.count(id) == 0) return;
   auto flows = take_ptrs();
-  collect_component(id, flows);
+  collect_components(id, {}, flows);
   advance_flows(flows);
   if (flows_.count(id) != 0) {  // the advance may have completed it already
     // finish_flow runs the cancelled flow's callback, which may re-enter;
@@ -417,8 +377,11 @@ Bytes Fabric::flow_transferred(FlowId id) const {
 
 void Fabric::activate_flow(Flow& f) {
   if (obs_) obs_->flow_activations->add();
-  f.active_index = static_cast<std::uint32_t>(active_flows_.size());
-  active_flows_.push_back(&f);
+  // Flows usually activate in id order, so the insert is almost always an
+  // append.
+  active_flows_.insert(std::upper_bound(active_flows_.begin(), active_flows_.end(), f.id,
+                                        [](FlowId id, const Active& a) { return id < a.id; }),
+                       Active{f.id, &f, f.links[0]});
   for (int k = 0; k < 3; ++k) {
     auto& list = link_flows_[f.links[k]];
     f.link_pos[k] = static_cast<std::uint32_t>(list.size());
@@ -427,10 +390,8 @@ void Fabric::activate_flow(Flow& f) {
 }
 
 void Fabric::deactivate_flow(Flow& f) {
-  Flow* moved = active_flows_.back();
-  active_flows_[f.active_index] = moved;
-  moved->active_index = f.active_index;
-  active_flows_.pop_back();
+  active_flows_.erase(std::lower_bound(active_flows_.begin(), active_flows_.end(), f.id,
+                                       [](const Active& a, FlowId id) { return a.id < id; }));
   for (int k = 0; k < 3; ++k) {
     auto& list = link_flows_[f.links[k]];
     Flow* tail = list.back();
@@ -445,66 +406,32 @@ void Fabric::deactivate_flow(Flow& f) {
   }
 }
 
-void Fabric::collect_component(FlowId origin, std::vector<Flow*>& out) {
+void Fabric::collect_components(FlowId origin, std::initializer_list<std::size_t> seeds,
+                                std::vector<Flow*>& out) {
   out.clear();
-  auto it = flows_.find(origin);
-  if (it == flows_.end()) return;
   if (++visit_epoch_ == 0) {  // stamp wrap: reset marks once per ~4e9 events
     std::fill(link_visit_.begin(), link_visit_.end(), 0u);
     for (auto& [id, f] : flows_) f.visit = 0;
     visit_epoch_ = 1;
   }
   link_queue_.clear();
+  const auto mark = [&](std::size_t l) {
+    if (link_visit_[l] == visit_epoch_) return;
+    link_visit_[l] = visit_epoch_;
+    link_queue_.push_back(l);
+  };
   const auto visit = [&](Flow& f) {
     if (f.visit == visit_epoch_) return;
     f.visit = visit_epoch_;
     out.push_back(&f);
     if (!f.active) return;  // setup-phase flows occupy no links
-    for (std::size_t l : f.links) {
-      if (link_visit_[l] != visit_epoch_) {
-        link_visit_[l] = visit_epoch_;
-        link_queue_.push_back(l);
-      }
-    }
+    for (std::size_t l : f.links) mark(l);
   };
-  visit(it->second);
+  if (auto it = flows_.find(origin); it != flows_.end()) visit(it->second);
+  for (std::size_t l : seeds) mark(l);
   for (std::size_t head = 0; head < link_queue_.size(); ++head) {
     for (Flow* g : link_flows_[link_queue_[head]]) visit(*g);
   }
-}
-
-void Fabric::collect_link_components(std::initializer_list<std::size_t> seeds,
-                                     std::vector<Flow*>& out) {
-  out.clear();
-  if (++visit_epoch_ == 0) {  // stamp wrap: reset marks once per ~4e9 events
-    std::fill(link_visit_.begin(), link_visit_.end(), 0u);
-    for (auto& [id, f] : flows_) f.visit = 0;
-    visit_epoch_ = 1;
-  }
-  link_queue_.clear();
-  for (std::size_t l : seeds) {
-    if (link_visit_[l] != visit_epoch_) {
-      link_visit_[l] = visit_epoch_;
-      link_queue_.push_back(l);
-    }
-  }
-  for (std::size_t head = 0; head < link_queue_.size(); ++head) {
-    for (Flow* g : link_flows_[link_queue_[head]]) {
-      if (g->visit == visit_epoch_) continue;
-      g->visit = visit_epoch_;
-      out.push_back(g);
-      for (std::size_t l : g->links) {
-        if (link_visit_[l] != visit_epoch_) {
-          link_visit_[l] = visit_epoch_;
-          link_queue_.push_back(l);
-        }
-      }
-    }
-  }
-}
-
-void Fabric::collect_all_active(std::vector<Flow*>& out) {
-  out.assign(active_flows_.begin(), active_flows_.end());
 }
 
 void Fabric::resolve_live(const std::vector<FlowId>& ids, std::vector<Flow*>& flows) {
@@ -608,19 +535,27 @@ ByteRate Fabric::flow_demand(const Flow& flow) const {
   return ByteRate::bytes_per_sec(std::max(cap, 1.0));
 }
 
+std::size_t Fabric::link_root(std::size_t link) {
+  while (link_root_[link] != link) {
+    link_root_[link] = link_root_[link_root_[link]];  // path halving
+    link = link_root_[link];
+  }
+  return link;
+}
+
 void Fabric::settle_flows(const std::vector<Flow*>& flows) {
   if (++stamp_ == 0) {
     std::fill(link_stamp_.begin(), link_stamp_.end(), 0u);
     stamp_ = 1;
   }
-  unsettled_.clear();
   touched_links_.clear();
   to_reschedule_.clear();
   old_rates_.clear();
+  FlowId lo = std::numeric_limits<FlowId>::max();
   for (Flow* fp : flows) {
     if (!fp->active) continue;
     Flow& f = *fp;
-    unsettled_.push_back(&f);
+    lo = std::min(lo, f.id);
     to_reschedule_.push_back(&f);
     old_rates_.push_back(f.rate.bytes_per_second());
     for (std::size_t l : f.links) {
@@ -633,126 +568,161 @@ void Fabric::settle_flows(const std::vector<Flow*>& flows) {
         // region-pair links are gauged; node NIC links sit past wan_links_.
         if (obs_ && l < wan_links_) link_cap0_[l] = link_avail_[l];
         link_count_[l] = 0;
+        link_root_[l] = static_cast<std::uint32_t>(l);
         touched_links_.push_back(l);
       }
       ++link_count_[l];
     }
   }
-  if (unsettled_.empty()) return;
+  const std::size_t settled = to_reschedule_.size();
+  if (settled == 0) return;
   if (obs_) {
     obs_->settle_rounds->add();
-    obs_->settle_flows->add(unsettled_.size());
+    obs_->settle_flows->add(settled);
   }
-  // Bottleneck selection scans links in index order — deterministic across
-  // platforms and standard libraries (ties no longer depend on hash order).
-  std::sort(touched_links_.begin(), touched_links_.end());
 
-  // Progressive water-filling with per-flow demand ceilings.
-  const auto water_fill = [this](std::vector<Flow*>& pool, const std::vector<std::size_t>& links) {
-    while (!pool.empty()) {
+  // Each link-connected component settles on its own, in a canonical order:
+  // flows by id (the order of the link_avail_ subtractions), bottleneck ties
+  // to the lowest link index. A flow's rate is then a function of its own
+  // component only — not of unrelated traffic in the same settle, nor of the
+  // activation history — which is what makes completion times invariant
+  // when flows are re-partitioned across fabrics.
+  //
+  // Components are laid out back to back: component c owns links
+  // [link_start_[c], link_start_[c + 1]) and comp_flows_[flow_start_[c],
+  // flow_start_[c + 1]). Whole components come in, so an active flow is in
+  // this settle exactly when its links were stamped, and a scan of the
+  // id-sorted active list yields every component's flows in id order.
+  const bool isolated = settled > 1 && touched_links_.size() == 3 * settled;  // no shared link
+  std::size_t comps = settled == 1 ? 1 : isolated ? settled : touched_links_.size();
+  if (comps > 1 && !isolated) {  // union-find over the touched links
+    for (const Flow* f : to_reschedule_) {
+      if (comps == 1) break;  // every touched link is joined already
+      const std::size_t root = link_root(f->links[1]);
+      for (std::size_t l : {f->links[0], f->links[2]}) {
+        const std::size_t other = link_root(l);
+        if (other == root) continue;
+        link_root_[other] = static_cast<std::uint32_t>(root);
+        --comps;
+      }
+    }
+  }
+  if (flow_start_.size() < comps + 1) {
+    flow_start_.resize(comps + 1);
+    link_start_.resize(comps + 1);
+    cursor_.resize(comps + 1);
+  }
+  if (comp_flows_.size() < settled) comp_flows_.resize(settled);
+  if (comp_links_.size() < touched_links_.size()) comp_links_.resize(touched_links_.size());
+  const std::size_t* links = comp_links_.data();
+  flow_start_[0] = 0;
+  link_start_[0] = 0;
+  if (comps == 1) {
+    flow_start_[1] = settled;
+    link_start_[1] = touched_links_.size();
+    links = touched_links_.data();
+  } else if (!isolated) {
+    // Number the components by their roots, count each one's links, and
+    // its flows through their up links (every flow has exactly one), then
+    // place the links.
+    std::uint32_t next = 0;
+    for (std::size_t l : touched_links_) {
+      if (link_root_[l] != l) continue;
+      link_comp_[l] = next++;
+      link_start_[next] = 0;
+      flow_start_[next] = 0;
+    }
+    for (std::size_t l : touched_links_) {
+      const std::uint32_t c = link_comp_[link_root(l)];
+      link_comp_[l] = c;
+      ++link_start_[c + 1];
+      if (l >= wan_links_ && (l - wan_links_) % 2 == 0) flow_start_[c + 1] += link_count_[l];
+    }
+    for (std::size_t c = 0; c < comps; ++c) {
+      link_start_[c + 1] += link_start_[c];
+      flow_start_[c + 1] += flow_start_[c];
+    }
+    std::copy(link_start_.begin(), link_start_.begin() + comps, cursor_.begin());
+    for (std::size_t l : touched_links_) comp_links_[cursor_[link_comp_[l]]++] = l;
+    std::copy(flow_start_.begin(), flow_start_.begin() + comps, cursor_.begin());
+  }
+  std::size_t seen = 0;
+  if (settled == 1) comp_flows_[seen++] = to_reschedule_[0];
+  for (auto it = std::lower_bound(active_flows_.begin(), active_flows_.end(), lo,
+                                  [](const Active& a, FlowId id) { return a.id < id; });
+       seen < settled && it != active_flows_.end(); ++it) {
+    if (link_stamp_[it->up] != stamp_) continue;
+    if (comps == 1) {
+      comp_flows_[seen] = it->flow;
+    } else if (isolated) {  // component `seen` is this flow and its three links
+      std::copy(it->flow->links.begin(), it->flow->links.end(), comp_links_.begin() + 3 * seen);
+      flow_start_[seen + 1] = seen + 1;
+      link_start_[seen + 1] = 3 * (seen + 1);
+      comp_flows_[seen] = it->flow;
+    } else {
+      comp_flows_[cursor_[link_comp_[it->up]]++] = it->flow;
+    }
+    ++seen;
+  }
+  SAGE_CHECK(seen == settled);
+
+  const auto settle_flow = [this](Flow* f, double rate) {
+    f->rate = ByteRate::bytes_per_sec(rate);
+    for (std::size_t l : f->links) {
+      link_avail_[l] -= rate;
+      --link_count_[l];
+    }
+  };
+  // Progressive water-filling with per-flow demand ceilings. Each round
+  // settles some of the component's flows and compacts the rest to the
+  // front of its range, keeping their order.
+  const auto water_fill = [&](std::size_t c) {
+    const std::size_t first = flow_start_[c];
+    std::size_t end = flow_start_[c + 1];
+    while (end > first) {
       double share = std::numeric_limits<double>::infinity();
       std::size_t bottleneck = static_cast<std::size_t>(-1);
-      for (std::size_t l : links) {
+      for (std::size_t k = link_start_[c]; k < link_start_[c + 1]; ++k) {
+        const std::size_t l = links[k];
         if (link_count_[l] <= 0) continue;
         const double s = std::max(link_avail_[l], 0.0) / static_cast<double>(link_count_[l]);
-        if (s < share) {
+        if (s < share || (s == share && l < bottleneck)) {
           share = s;
           bottleneck = l;
         }
       }
       SAGE_CHECK(bottleneck != static_cast<std::size_t>(-1));
 
-      const auto settle_flow = [this](Flow* f, double rate) {
-        f->rate = ByteRate::bytes_per_sec(rate);
-        for (std::size_t l : f->links) {
-          link_avail_[l] -= rate;
-          --link_count_[l];
-        }
-      };
-
       // Demand-limited flows settle below the fair share first.
-      still_.clear();
-      bool any_demand_limited = false;
-      for (Flow* f : pool) {
+      std::size_t kept = first;
+      for (std::size_t i = first; i < end; ++i) {
+        Flow* f = comp_flows_[i];
         const double demand = flow_demand(*f).bytes_per_second();
         if (demand <= share + 1e-9) {
           settle_flow(f, demand);
-          any_demand_limited = true;
         } else {
-          still_.push_back(f);
+          comp_flows_[kept++] = f;
         }
       }
-      if (any_demand_limited) {
-        pool.swap(still_);
+      if (kept < end) {
+        end = kept;
         continue;
       }
 
       // Otherwise the bottleneck link pins everyone crossing it at the share.
-      still_.clear();
-      for (Flow* f : pool) {
-        const bool on_bottleneck =
-            f->links[0] == bottleneck || f->links[1] == bottleneck || f->links[2] == bottleneck;
-        if (on_bottleneck) {
+      kept = first;
+      for (std::size_t i = first; i < end; ++i) {
+        Flow* f = comp_flows_[i];
+        if (f->links[0] == bottleneck || f->links[1] == bottleneck || f->links[2] == bottleneck) {
           settle_flow(f, share);
         } else {
-          still_.push_back(f);
+          comp_flows_[kept++] = f;
         }
       }
-      pool.swap(still_);
+      end = kept;
     }
   };
-
-  if (!grid_refresh_) {
-    water_fill(unsettled_, touched_links_);
-  } else {
-    // Grid mode settles each link-connected component independently, in a
-    // canonical order (flow id within a component, link index for the
-    // bottleneck scan). The global rounds above pick the fair share off the
-    // minimum across ALL touched links, so a whole-fabric settle (refresh
-    // tick, chaos mutation) lets an unrelated component decide the round —
-    // and hence the floating-point subtraction order on link_avail_ — for
-    // this one. Component-local rounds make every flow's settled rate a
-    // function of its own component only, which is what makes completion
-    // times invariant under re-partitioning flows across lane fabrics.
-    if (++visit_epoch_ == 0) {
-      std::fill(link_visit_.begin(), link_visit_.end(), 0u);
-      for (auto& [id, f] : flows_) f.visit = 0;
-      visit_epoch_ = 1;
-    }
-    for (Flow* seed : unsettled_) {
-      if (seed->visit == visit_epoch_) continue;
-      comp_flows_.clear();
-      comp_links_.clear();
-      link_queue_.clear();
-      seed->visit = visit_epoch_;
-      comp_flows_.push_back(seed);
-      for (std::size_t l : seed->links) {
-        if (link_visit_[l] != visit_epoch_) {
-          link_visit_[l] = visit_epoch_;
-          link_queue_.push_back(l);
-        }
-      }
-      for (std::size_t head = 0; head < link_queue_.size(); ++head) {
-        const std::size_t l = link_queue_[head];
-        comp_links_.push_back(l);
-        for (Flow* g : link_flows_[l]) {
-          if (g->visit == visit_epoch_) continue;
-          g->visit = visit_epoch_;
-          comp_flows_.push_back(g);
-          for (std::size_t k : g->links) {
-            if (link_visit_[k] != visit_epoch_) {
-              link_visit_[k] = visit_epoch_;
-              link_queue_.push_back(k);
-            }
-          }
-        }
-      }
-      std::sort(comp_flows_.begin(), comp_flows_.end(),
-                [](const Flow* a, const Flow* b) { return a->id < b->id; });
-      std::sort(comp_links_.begin(), comp_links_.end());
-      water_fill(comp_flows_, comp_links_);
-    }
-  }
+  for (std::size_t c = 0; c < comps; ++c) water_fill(c);
 
   if (obs_) {
     // Post-settlement utilization of every region-pair link this component
@@ -795,7 +765,7 @@ void Fabric::settle_flows(const std::vector<Flow*>& flows) {
 
 void Fabric::on_completion(FlowId id) {
   auto flows = take_ptrs();
-  collect_component(id, flows);
+  collect_components(id, {}, flows);
   advance_flows(flows, /*complete_hint=*/id);
   settle_flows(flows);
   put_ptrs(std::move(flows));
@@ -804,7 +774,7 @@ void Fabric::on_completion(FlowId id) {
 void Fabric::refresh_tick() {
   if (flows_.empty()) return;  // goes dormant; restarted by next start_flow
   auto flows = take_ptrs();
-  collect_all_active(flows);
+  for (const Active& a : active_flows_) flows.push_back(a.flow);
   advance_flows(flows);
   settle_flows(flows);
   put_ptrs(std::move(flows));
@@ -817,13 +787,11 @@ void Fabric::ensure_refresh_running() {
 }
 
 void Fabric::schedule_refresh() {
-  if (!grid_refresh_) {
-    refresh_event_ = engine_.schedule_after(refresh_period_, [this] { refresh_tick(); });
-    return;
-  }
-  // Grid mode: next tick at the next absolute multiple of the period, so
-  // every fabric sharing the grid advances flows at identical sim times no
-  // matter when (or how often) each one woke from dormancy.
+  // Next tick at the next absolute multiple of the period, not one period
+  // after whichever flow woke the fabric: byte progress truncates at every
+  // advancement point, so the tick grid is observable in completion times,
+  // and a shared absolute grid keeps them independent of how flows are
+  // partitioned across fabrics and of when each one went dormant.
   const std::int64_t per = refresh_period_.count_micros();
   const std::int64_t next = (engine_.now().count_micros() / per + 1) * per;
   refresh_event_ = engine_.schedule_at(SimTime::from_micros(next), [this] { refresh_tick(); });

@@ -11,11 +11,17 @@
 // periodic refresh (active only while flows exist) re-settles rates so flows
 // experience the environment drift that SAGE's monitoring layer must detect.
 //
-// Settlement is incremental: link ids are dense, per-link active-flow lists
-// are maintained on flow start/finish, and a flow event re-settles only the
-// connected component of flows transitively sharing a link with the changed
-// flow (flows on disjoint link sets cannot change rate under max-min).
-// Periodic refresh still re-settles everything so capacity drift reaches
+// Settlement is incremental and component-local: link ids are dense,
+// per-link active-flow lists are maintained on flow start/finish, and a flow
+// event re-settles only the connected component of flows transitively
+// sharing a link with the changed flow (flows on disjoint link sets cannot
+// change rate under max-min). Byte progress truncates to whole bytes at
+// every advancement point, so three rules keep each flow's history a
+// function of its own component: every component water-fills on its own
+// (flows in flow-id order, bottleneck ties to the lowest link index),
+// refresh ticks land on absolute multiples of the refresh period, and
+// node/link mutators advance and re-settle only the components their links
+// reach. A refresh tick re-settles every component so capacity drift reaches
 // every flow, but a completion event is only re-queued when the flow's
 // scheduled finish time actually moved. See DESIGN.md "Simulator
 // performance" for the algorithm and the determinism invariants.
@@ -169,15 +175,8 @@ class Fabric {
   }
 
   /// Rate-settlement granularity (default 500 ms of simulated time).
+  /// Refresh ticks land on absolute multiples of the period.
   void set_refresh_period(SimDuration d) { refresh_period_ = d; }
-
-  /// Pin refresh ticks to absolute multiples of the refresh period instead
-  /// of phase-locking them to whichever flow woke the fabric. Byte progress
-  /// truncates to whole bytes at every advancement point, so the tick grid
-  /// is observable in completion times; a shared absolute grid makes them
-  /// independent of how flows are partitioned across fabrics. Sharded
-  /// scenario mode (core::ShardedSage) turns this on for every lane.
-  void set_refresh_grid(bool on) { grid_refresh_ = on; }
 
  private:
   // Link indexing: [0, wan_links_) are the topology's declared directed
@@ -216,7 +215,6 @@ class Fabric {
     sim::EventHandle completion;
     std::array<std::size_t, 3> links{};       // up, pair, down (all distinct)
     std::array<std::uint32_t, 3> link_pos{};  // position in each link's flow list
-    std::uint32_t active_index = 0;           // position in active_flows_
     std::uint32_t visit = 0;                  // component-BFS visit stamp
   };
 
@@ -238,21 +236,20 @@ class Fabric {
 
   /// Make `f` visible to settlement: per-link flow lists + active list.
   void activate_flow(Flow& f);
-  /// Undo activate_flow (swap-erase, O(1) per link).
+  /// Undo activate_flow (swap-erase from the link lists, O(1) per link).
   void deactivate_flow(Flow& f);
 
-  /// Flows transitively sharing a link with `origin` (including it).
-  /// Only active flows occupy links and propagate the search.
-  void collect_component(FlowId origin, std::vector<Flow*>& out);
-  /// Snapshot of every active flow, in settlement order.
-  void collect_all_active(std::vector<Flow*>& out);
+  /// Flows transitively sharing a link with flow `origin` (first, if it
+  /// exists) or with the `seeds` links. Only active flows occupy links and
+  /// propagate the search.
+  void collect_components(FlowId origin, std::initializer_list<std::size_t> seeds,
+                          std::vector<Flow*>& out);
 
-  /// Flood the link-connected components reachable from `seeds` (link ids),
-  /// collecting every active flow in them. Grid-mode mutators use this to
-  /// scope advance/settle to the flows a node/link change can actually
-  /// affect (see set_node_failed).
-  void collect_link_components(std::initializer_list<std::size_t> seeds,
-                               std::vector<Flow*>& out);
+  /// Bring the components reachable from `seeds` current at their old
+  /// rates, run `mutate` (which may finish flows), then re-settle the
+  /// survivors. No other flow gains an advancement point.
+  template <typename Mutate>
+  void mutate_scoped(std::initializer_list<std::size_t> seeds, Mutate&& mutate);
 
   /// Re-resolve `flows` to the subset of `ids` still alive (order kept).
   void resolve_live(const std::vector<FlowId>& ids, std::vector<Flow*>& flows);
@@ -264,10 +261,12 @@ class Fabric {
   /// final sub-byte (completion-event path).
   void advance_flows(std::vector<Flow*>& flows, FlowId complete_hint = 0);
 
-  /// Max-min water-filling over the active flows in `flows`, using the
-  /// dense per-link scratch buffers, then reschedule completion events
-  /// with hysteresis. Runs no user callbacks.
+  /// Max-min water-filling over the active flows in `flows` (whole
+  /// components), one component at a time, using the dense per-link
+  /// scratch buffers, then reschedule completion events with hysteresis.
+  /// Runs no user callbacks.
   void settle_flows(const std::vector<Flow*>& flows);
+  std::size_t link_root(std::size_t link);  // union-find over touched links
 
   void on_completion(FlowId id);
   void finish_flow(FlowId id, FlowOutcome outcome);
@@ -306,7 +305,6 @@ class Fabric {
   std::size_t wan_links_ = 0;  // topology_->edges().size(); node links follow
   Rng rng_;
   SimDuration refresh_period_ = SimDuration::millis(500);
-  bool grid_refresh_ = false;
 
   std::vector<NodeInfo> nodes_;
   std::vector<ByteRate> node_up_;
@@ -341,10 +339,15 @@ class Fabric {
   std::vector<std::int32_t> link_count_; // scratch: unsettled flows on link
   std::vector<std::uint32_t> link_stamp_;
   std::vector<std::uint32_t> link_visit_;
+  std::vector<std::uint32_t> link_root_;  // scratch: union-find parent
+  std::vector<std::uint32_t> link_comp_;  // scratch: component ordinal
   std::uint32_t stamp_ = 0;
   std::uint32_t visit_epoch_ = 0;
 
-  std::vector<Flow*> active_flows_;  // deterministic settlement order
+  // Active flows sorted by id, each with its up link so settle_flows can
+  // test membership and find the component without touching the flow.
+  struct Active { FlowId id; Flow* flow; std::size_t up; };
+  std::vector<Active> active_flows_;
   std::unique_ptr<ObsCells> obs_;    // null when observability is off
 
   // Reused scratch (persistent capacity, no steady-state allocations).
@@ -352,11 +355,9 @@ class Fabric {
   // callbacks, so plain members are re-entrancy safe.
   std::vector<std::size_t> link_queue_;
   std::vector<std::size_t> touched_links_;
-  std::vector<Flow*> unsettled_;
-  std::vector<Flow*> still_;
-  // Grid-mode component-local settlement scratch (see settle_flows).
+  // One settle's flows and links grouped by component (see settle_flows).
   std::vector<Flow*> comp_flows_;
-  std::vector<std::size_t> comp_links_;
+  std::vector<std::size_t> comp_links_, flow_start_, link_start_, cursor_;
   std::vector<Flow*> to_reschedule_;
   std::vector<double> old_rates_;  // parallel to to_reschedule_
 

@@ -47,10 +47,6 @@ ShardedSage::ShardedSage(std::shared_ptr<const cloud::Topology> topology,
     // RNG streams are never read back.
     providers_.push_back(
         std::make_unique<cloud::CloudProvider>(engine_->shard(l), topology_, seed));
-    // Byte progress truncates at every fabric advancement point, so refresh
-    // ticks must land on a shared absolute grid or completion times pick up
-    // sub-ms drift that depends on the shard count.
-    providers_.back()->fabric().set_refresh_grid(true);
     SageConfig lane_cfg = config;
     lane_cfg.shard_lane = true;
     lane_cfg.monitoring.report_delay = report_delay_;

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cloud/topology.hpp"
 #include "common/check.hpp"
 #include "common/stats.hpp"
@@ -316,6 +321,117 @@ TEST(FabricDeterminismTest, IdenticalSeedsProduceIdenticalFinishTimes) {
     return finishes;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// -- Partition invariance ---------------------------------------------------
+//
+// A flow's history must be a function of its own link-connected component:
+// not of unrelated traffic in the same fabric, nor of the order in which
+// its component's flows were started, activated or cancelled.
+
+// Group 0 sends NEU -> NUS, starts at t = 0 and takes a capacity squeeze;
+// group 1 sends WEU -> EUS, starts off the refresh grid at t = 0.3 s and
+// loses a flow to cancel_flow. Each group has its own two nodes, so the
+// groups never share a link. Records, per (group, flow), the finish time
+// and flow_transferred() at three checkpoints.
+std::map<std::pair<int, int>, std::vector<std::int64_t>> run_flow_groups(
+    const std::vector<int>& groups) {
+  sim::SimEngine engine;
+  Fabric fabric(engine, stable_topology(), /*seed=*/7);
+  std::map<std::pair<int, int>, std::vector<std::int64_t>> out;
+  std::map<std::pair<int, int>, FlowId> ids;
+  for (int g : groups) {
+    const Region src = g == 0 ? kNEU : kWEU;
+    const Region dst = g == 0 ? kNUS : Region::kEastUS;
+    const NodeId a = fabric.add_node(src, kSmallNic, kSmallNic);
+    const NodeId b = fabric.add_node(dst, kSmallNic, kSmallNic);
+    const SimTime start = SimTime::from_micros(g == 0 ? 0 : 300'000);
+    for (int i = 0; i < 3; ++i) {
+      engine.schedule_at(start, [&, g, i, a, b] {
+        const Bytes size = Bytes::mb(8 + 13 * i + 5 * g);
+        ids[{g, i}] = fabric.start_flow(a, b, size, {}, [&, g, i](const FlowResult& r) {
+          out[{g, i}].push_back(engine.now().count_micros());
+          out[{g, i}].push_back(static_cast<std::int64_t>(r.outcome));
+        });
+      });
+    }
+    if (g == 0) {
+      engine.schedule_at(SimTime::from_micros(3'700'000),
+                         [&] { fabric.set_link_chaos_scale(kNEU, kNUS, 0.05, false); });
+    } else {
+      engine.schedule_at(SimTime::from_micros(4'100'000),
+                         [&] { fabric.cancel_flow(ids[{1, 2}]); });
+    }
+  }
+  for (std::int64_t at : {2'210'000, 4'420'000, 6'630'000}) {
+    engine.schedule_at(SimTime::from_micros(at), [&, groups] {
+      for (int g : groups) {
+        for (int i = 0; i < 3; ++i) {
+          out[{g, i}].push_back(fabric.flow_transferred(ids[{g, i}]).count());
+        }
+      }
+    });
+  }
+  engine.run();
+  return out;
+}
+
+TEST(FabricPartitionTest, DisjointGroupsMatchTheirSoloRuns) {
+  const auto together = run_flow_groups({0, 1});
+  auto apart = run_flow_groups({0});
+  apart.merge(run_flow_groups({1}));
+  ASSERT_EQ(together.size(), 6u);
+  for (const auto& [flow, history] : together) {
+    SCOPED_TRACE("group " + std::to_string(flow.first) + " flow " +
+                 std::to_string(flow.second));
+    ASSERT_EQ(history.size(), 5u);  // three checkpoints + finish + outcome
+    EXPECT_EQ(history, apart.at(flow));
+  }
+}
+
+TEST(FabricPartitionTest, SettledRatesIgnoreStartAndCancelHistory) {
+  // Six flows share one source NIC. Five are capped below the fair share,
+  // so they settle first, and the order of their subtractions from the
+  // NIC's capacity decides, to the last bit, what the uncapped flow gets.
+  // The second history activates them in reverse (setup latencies), then
+  // starts and cancels decoys on the same links, so every activation-
+  // ordered list holds them backwards; flow ids keep the same order.
+  const std::vector<double> caps = {1'234'567.891, 1'987'654.321, 1'414'213.562,
+                                    1'732'050.808, 1'618'033.989, 0.0};
+  const auto settle = [&](bool shuffled) {
+    sim::SimEngine engine;
+    Fabric fabric(engine, stable_topology(), /*seed=*/7);
+    const NodeId src = fabric.add_node(kNEU, kSmallNic, kSmallNic);
+    const NodeId dst = fabric.add_node(kNEU, kSmallNic, kSmallNic);
+    std::vector<FlowId> flows;
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+      FlowOptions options;
+      if (caps[i] > 0.0) options.demand_cap = ByteRate::bytes_per_sec(caps[i]);
+      if (shuffled) {
+        options.extra_setup_latency =
+            SimDuration::millis(static_cast<std::int64_t>(10 * (caps.size() - i)));
+      }
+      flows.push_back(fabric.start_flow(src, dst, Bytes::gb(1), options,
+                                        [](const FlowResult&) {}));
+    }
+    engine.run_until(engine.now() + SimDuration::millis(100));
+    std::vector<FlowId> decoys;
+    for (int k = 0; k < 3 && shuffled; ++k) {
+      decoys.push_back(fabric.start_flow(src, dst, Bytes::gb(1), {}, [](const FlowResult&) {}));
+    }
+    engine.run_until(engine.now() + SimDuration::millis(100));
+    for (FlowId d : decoys) fabric.cancel_flow(d);
+    engine.run_until(engine.now() + SimDuration::millis(300));
+    std::vector<double> rates;
+    for (FlowId f : flows) rates.push_back(fabric.flow_rate(f).bytes_per_second());
+    return rates;
+  };
+  const std::vector<double> plain = settle(false);
+  const std::vector<double> shuffled = settle(true);
+  ASSERT_EQ(plain.size(), caps.size());
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    EXPECT_EQ(plain[i], shuffled[i]) << "flow " << i;  // bit-identical
+  }
 }
 
 TEST_F(FabricFixture, ZeroByteFlowCompletesAfterSetup) {
