@@ -60,10 +60,8 @@ void BM_EventQueue(benchmark::State& state) {
 BENCHMARK(BM_EventQueue);
 
 void BM_EventQueue_CancelHeavy(benchmark::State& state) {
-  // The fabric's settlement loop historically cancelled and re-pushed every
-  // active flow's completion event on each refresh tick; this isolates the
-  // schedule/cancel cost that pattern stresses (half the events cancelled,
-  // dropped lazily from the heap).
+  // Schedule/cancel cost: half the events are cancelled, each removed from
+  // the queue at once, and the other half fire.
   std::vector<sim::EventHandle> handles;
   handles.reserve(1000);
   for (auto _ : state) {
@@ -78,6 +76,29 @@ void BM_EventQueue_CancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueue_CancelHeavy);
+
+void BM_EventQueue_Reschedule(benchmark::State& state) {
+  // A settle moves the completion event of every flow whose rate changed:
+  // N live events, and each round advances the clock 1 ms and moves every
+  // one of them to a new time 1-100 ms ahead (none fires).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::SimEngine engine;
+  Rng rng(1);
+  const auto ahead = [&] {
+    return engine.now() + SimDuration::micros(rng.uniform_int(1'000, 100'000));
+  };
+  std::vector<sim::EventHandle> handles;
+  handles.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) handles.push_back(engine.schedule_at(ahead(), [] {}));
+  for (auto _ : state) {
+    engine.run_until(engine.now() + SimDuration::millis(1));
+    for (const sim::EventHandle& h : handles) {
+      benchmark::DoNotOptimize(engine.reschedule(h, ahead()));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_EventQueue_Reschedule)->Arg(64)->Arg(1024);
 
 void BM_Settle(benchmark::State& state) {
   // All flows contend on one region-pair link: every refresh tick re-runs

@@ -756,10 +756,11 @@ void Fabric::settle_flows(const std::vector<Flow*>& flows) {
       const double cur = f->rate.bytes_per_second();
       if (std::abs(cur - prev) <= kRateRelTolerance * std::max(prev, cur)) continue;
     }
-    f->completion.cancel();
     f->completion_at = target;
-    const FlowId fid = f->id;
-    f->completion = engine_.schedule_at(target, [this, fid] { on_completion(fid); });
+    if (!engine_.reschedule(f->completion, target)) {
+      const FlowId fid = f->id;
+      f->completion = engine_.schedule_at(target, [this, fid] { on_completion(fid); });
+    }
   }
 }
 

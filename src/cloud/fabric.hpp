@@ -22,7 +22,7 @@
 // refresh ticks land on absolute multiples of the refresh period, and
 // node/link mutators advance and re-settle only the components their links
 // reach. A refresh tick re-settles every component so capacity drift reaches
-// every flow, but a completion event is only re-queued when the flow's
+// every flow, but a completion event is only moved when the flow's
 // scheduled finish time actually moved. See DESIGN.md "Simulator
 // performance" for the algorithm and the determinism invariants.
 //

@@ -1,5 +1,6 @@
 #include "simcore/engine.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/check.hpp"
@@ -27,11 +28,13 @@ EventHandle SimEngine::schedule_at(SimTime t, Callback fn) {
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
+    heap_pos_.push_back(0);
   }
   Slot& s = slots_[slot];
   ++s.gen;  // even -> odd: live
   s.fn = std::move(fn);
-  queue_.push(Event{t, next_seq_++, slot, s.gen});
+  heap_.push_back(Entry{t, next_seq_++, slot});
+  sift_up(heap_.size() - 1);
   ++scheduled_;
   return EventHandle{this, slot, s.gen};
 }
@@ -41,16 +44,95 @@ EventHandle SimEngine::schedule_after(SimDuration delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
+bool SimEngine::reschedule(const EventHandle& h, SimTime t) {
+  if (h.engine_ != this || !live(h.slot_, h.gen_)) return false;
+  SAGE_CHECK_MSG(t >= now_, "cannot reschedule an event into the simulated past");
+  const std::size_t i = heap_pos_[h.slot_];
+  // The fresh seq orders after every existing entry, so the new key is
+  // greater than the old one exactly when t is not earlier.
+  const bool later = t >= heap_[i].at;
+  heap_[i].at = t;
+  heap_[i].seq = next_seq_++;
+  if (later) {
+    sift_down(i);
+  } else {
+    sift_up(i);
+  }
+  ++cancelled_;
+  ++scheduled_;
+  return true;
+}
+
 void SimEngine::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  ++s.gen;  // odd -> even: dead; stale heap entries / handles now mismatch
+  ++s.gen;  // odd -> even: dead; outstanding handles now mismatch
   s.fn = nullptr;
   free_slots_.push_back(slot);
 }
 
 void SimEngine::cancel_slot(std::uint32_t slot) {
+  remove_at(heap_pos_[slot]);
   ++cancelled_;
   release_slot(slot);
+}
+
+void SimEngine::sift_up(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!before(e, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, e);
+}
+
+std::size_t SimEngine::min_child(std::size_t first) const {
+  const std::size_t last = std::min(first + 4, heap_.size());
+  std::size_t child = first;
+  for (std::size_t c = first + 1; c < last; ++c) {
+    child = before(heap_[c], heap_[child]) ? c : child;
+  }
+  return child;
+}
+
+void SimEngine::sift_down(std::size_t i) {
+  const Entry e = heap_[i];
+  const std::size_t n = heap_.size();
+  for (std::size_t first = 4 * i + 1; first < n; first = 4 * i + 1) {
+    const std::size_t child = min_child(first);
+    if (!before(heap_[child], e)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, e);
+}
+
+void SimEngine::pop_root() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
+  for (std::size_t first = 1; first < n; first = 4 * i + 1) {
+    const std::size_t child = min_child(first);
+    place(i, heap_[child]);
+    i = child;
+  }
+  heap_[i] = last;
+  sift_up(i);
+}
+
+void SimEngine::remove_at(std::size_t i) {
+  const Entry moved = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  heap_[i] = moved;
+  if (i > 0 && before(moved, heap_[(i - 1) / 4])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
 }
 
 void SimEngine::enable_obs(const obs::ObsConfig& config) {
@@ -79,18 +161,15 @@ void SimEngine::publish_obs_metrics() {
 }
 
 bool SimEngine::fire_next() {
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    if (!live(ev.slot, ev.gen)) continue;  // cancelled, drop lazily
-    Callback fn = std::move(slots_[ev.slot].fn);
-    release_slot(ev.slot);
-    now_ = ev.at;
-    ++fired_;
-    fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const Entry top = heap_.front();
+  pop_root();
+  Callback fn = std::move(slots_[top.slot].fn);
+  release_slot(top.slot);
+  now_ = top.at;
+  ++fired_;
+  fn();
+  return true;
 }
 
 std::uint64_t SimEngine::run() {
@@ -102,15 +181,9 @@ std::uint64_t SimEngine::run() {
 std::uint64_t SimEngine::run_until(SimTime t) {
   SAGE_CHECK(t >= now_);
   std::uint64_t n = 0;
-  while (!queue_.empty()) {
-    // Skip cancelled events eagerly so they do not block the horizon test.
-    const Event& top = queue_.top();
-    if (!live(top.slot, top.gen)) {
-      queue_.pop();
-      continue;
-    }
-    if (top.at > t) break;
-    if (fire_next()) ++n;
+  while (!heap_.empty() && heap_.front().at <= t) {
+    fire_next();
+    ++n;
   }
   now_ = t;
   return n;
@@ -118,17 +191,10 @@ std::uint64_t SimEngine::run_until(SimTime t) {
 
 bool SimEngine::step() { return fire_next(); }
 
-bool SimEngine::peek_next_time(SimTime* t) {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (!live(top.slot, top.gen)) {
-      queue_.pop();
-      continue;
-    }
-    if (t != nullptr) *t = top.at;
-    return true;
-  }
-  return false;
+bool SimEngine::peek_next_time(SimTime* t) const {
+  if (heap_.empty()) return false;
+  if (t != nullptr) *t = heap_.front().at;
+  return true;
 }
 
 PeriodicTask::PeriodicTask(SimEngine& engine, SimDuration interval, SimEngine::Callback fn)

@@ -8,16 +8,19 @@
 // a monotone sequence number).
 //
 // Scheduling is allocation-free beyond the callback itself: event state
-// lives in a slab of reusable slots, and cancellation is a generation
-// check (an EventHandle names a (slot, generation) pair; releasing a slot
-// bumps its generation so stale handles and stale heap entries are inert).
-// Cancelled events are dropped lazily when they surface at the top of the
-// heap, exactly as before.
+// lives in a slab of reusable slots, and an EventHandle names a
+// (slot, generation) pair; releasing a slot bumps its generation so stale
+// handles are inert. The queue is an indexed 4-ary min-heap of
+// (time, sequence, slot) entries, with every live slot's heap index kept in
+// a dense side array. It holds only live events: cancel() removes its entry
+// at once, and reschedule() moves a pending event in place — the fabric
+// moves a flow's completion event whenever a settle changes its rate, so
+// that move is one sift rather than a removal plus an insertion.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/callback.hpp"
@@ -32,10 +35,10 @@ namespace sage::sim {
 
 class SimEngine;
 
-/// Handle used to cancel a scheduled event. Default-constructed handles are
-/// inert; cancelling an already-fired event is a no-op. A handle names a
-/// (slot, generation) pair inside its engine's slab, so it must not be used
-/// after the engine is destroyed.
+/// Handle used to cancel or reschedule a scheduled event. Default-constructed
+/// handles are inert; cancelling an already-fired event is a no-op. A handle
+/// names a (slot, generation) pair inside its engine's slab, so it must not
+/// be used after the engine is destroyed.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -73,6 +76,13 @@ class SimEngine {
   /// Schedule `fn` after a non-negative delay.
   EventHandle schedule_after(SimDuration delay, Callback fn);
 
+  /// Move the pending event `h` names to absolute time `t` (must be >= now()),
+  /// keeping its callback and handle. It takes a fresh sequence number, so it
+  /// fires exactly where cancel() plus schedule_at(t) would have put it, and
+  /// it counts as one cancel plus one schedule. Returns false and changes
+  /// nothing when `h` is not pending on this engine.
+  bool reschedule(const EventHandle& h, SimTime t);
+
   /// Run until the event queue drains. Returns the number of events fired.
   std::uint64_t run();
 
@@ -82,28 +92,23 @@ class SimEngine {
   /// Fire exactly one event if any is pending. Returns false on empty queue.
   bool step();
 
-  /// Timestamp of the earliest live event, pruning cancelled husks from the
-  /// top of the heap on the way. Returns false when no live event is pending.
-  /// The sharded coordinator uses this to pick each lock-step window start.
-  bool peek_next_time(SimTime* t);
+  /// Timestamp of the earliest pending event. Returns false when none is
+  /// pending. The sharded coordinator uses this to pick each lock-step
+  /// window start.
+  bool peek_next_time(SimTime* t) const;
 
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
   /// Lifetime totals: every schedule_* call, and every EventHandle::cancel
-  /// that actually killed a live event. Always maintained (two integer
-  /// increments; cheaper than a branch) so the event-accounting invariant
+  /// that actually killed a live event; a reschedule counts once in each.
+  /// Always maintained (integer increments; cheaper than a branch) so the
+  /// event-accounting invariant
   ///   events_scheduled() == events_fired() + events_cancelled() + live_events()
   /// holds whether or not observability is enabled.
   [[nodiscard]] std::uint64_t events_scheduled() const { return scheduled_; }
   [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
-  /// Heap entries, including lazily-dropped cancelled events.
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  /// Scheduled events that are still live — excludes cancelled husks the
-  /// heap drops lazily (cancel releases its slot immediately, so the live
-  /// count is exactly the allocated slots).
-  [[nodiscard]] std::size_t live_events() const {
-    return slots_.size() - free_slots_.size();
-  }
+  /// Scheduled events that have neither fired nor been cancelled.
+  [[nodiscard]] std::size_t live_events() const { return heap_.size(); }
 
   /// Attach an observability bundle (metrics registry + optional tracer) to
   /// this engine. Must be called before constructing the components that
@@ -123,25 +128,23 @@ class SimEngine {
   friend class EventHandle;
 
   // A slot is live while its generation is odd (allocation bumps even->odd,
-  // release bumps odd->even). The strictly increasing generation makes every
-  // stale reference — an old EventHandle or an abandoned heap entry — detect
-  // its own staleness with one compare, even after the slot is reused.
+  // release bumps odd->even). The strictly increasing generation makes a
+  // stale EventHandle detect its own staleness with one compare, even after
+  // the slot is reused.
   struct Slot {
     std::uint64_t gen = 0;
     Callback fn;
   };
-  struct Event {
+  // Heap order is (at, seq): seq is unique, so the order is total and ties
+  // at one timestamp fire in scheduling order.
+  struct Entry {
     SimTime at;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint64_t gen;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  static bool before(const Entry& a, const Entry& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  }
 
   bool fire_next();
   [[nodiscard]] bool live(std::uint32_t slot, std::uint64_t gen) const {
@@ -152,14 +155,31 @@ class SimEngine {
   // calls release_slot() directly so fired events are never counted as
   // cancelled.
   void cancel_slot(std::uint32_t slot);
+  // Indexed-heap primitives. The sifts finish with place(), which brings
+  // heap_pos_ in step with heap_ for every entry they moved.
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    heap_pos_[e.slot] = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  // Index of the smallest child in the group that starts at `first`.
+  std::size_t min_child(std::size_t first) const;
+  // Removes the root. The hole walks down to a leaf along smallest children
+  // and the last entry refills it from there: it usually belongs near the
+  // bottom, so this skips one comparison per level against it.
+  void pop_root();
+  void remove_at(std::size_t i);
 
   SimTime now_ = SimTime::epoch();
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Entry> heap_;
   std::vector<Slot> slots_;
+  // heap_pos_[slot]: index of a live slot's entry in heap_ (stale otherwise).
+  std::vector<std::uint32_t> heap_pos_;
   std::vector<std::uint32_t> free_slots_;
   std::unique_ptr<obs::Observability> obs_;
   // Last values published into the registry; publish_obs_metrics() adds only

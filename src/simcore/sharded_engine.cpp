@@ -106,10 +106,10 @@ void ShardedSimEngine::drain_mailboxes() {
   }
 }
 
-bool ShardedSimEngine::earliest_event(SimTime* t) {
+bool ShardedSimEngine::earliest_event(SimTime* t) const {
   bool any = false;
   SimTime best = SimTime::epoch();
-  for (auto& lane : lanes_) {
+  for (const auto& lane : lanes_) {
     SimTime lt;
     if (!lane->peek_next_time(&lt)) continue;
     if (!any || lt < best) best = lt;

@@ -121,7 +121,7 @@ class ShardedSimEngine {
   /// (at, src, seq). Single-threaded; runs only at window barriers.
   void drain_mailboxes();
   /// Earliest live event over all lanes; false when every lane is empty.
-  bool earliest_event(SimTime* t);
+  bool earliest_event(SimTime* t) const;
   /// Advance every lane to `horizon` (pool workers stride over lanes, or
   /// shard order inline). Counts fired events into fired_by_lane_.
   void run_lanes(SimTime horizon);

@@ -154,8 +154,8 @@ TEST(WorldRunUntil, IdleBailIsImmediateOnEmptyWorld) {
   const bench::RunOutcome out = world.run_until([] { return false; });
   EXPECT_EQ(out.reason, bench::RunStop::kIdle);
   EXPECT_EQ(world.engine.now(), SimTime::epoch());
-  // Repeated calls keep bailing immediately even though each left a
-  // cancelled sentinel husk in the heap (live_events ignores husks).
+  // Repeated calls keep bailing immediately: each cancels its deadline
+  // sentinel on exit, so no call leaves work behind for the next.
   const bench::RunOutcome again = world.run_until([] { return false; });
   EXPECT_EQ(again.reason, bench::RunStop::kIdle);
   EXPECT_EQ(world.engine.now(), SimTime::epoch());

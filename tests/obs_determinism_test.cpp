@@ -6,10 +6,9 @@
 //   2. obs output itself is deterministic — metric snapshots and serialized
 //      traces are byte-identical across harness thread counts and repeated
 //      runs.
-// Plus the engine event-accounting invariant (satellite of PR3's slab
-// queue): events_scheduled() == events_fired() + events_cancelled() +
-// live_events(), including the cancelled-husk path where the heap still
-// holds entries whose slots were already released.
+// Plus the engine event-accounting invariant: events_scheduled() ==
+// events_fired() + events_cancelled() + live_events(), through cancels,
+// reschedules and firings.
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -54,34 +53,46 @@ TEST(EventAccounting, InvariantHoldsThroughCancelAndFire) {
   EXPECT_EQ(engine.live_events(), 10u);
   expect_accounting(engine);
 
-  // Cancel every other event: the live count drops immediately even though
-  // the heap still holds the husks (they are dropped lazily on pop).
+  // Cancel every other event: each leaves the queue at once, so the
+  // earliest pending event is now the one at 2 s.
   for (std::size_t i = 0; i < handles.size(); i += 2) handles[i].cancel();
   EXPECT_EQ(engine.events_cancelled(), 5u);
   EXPECT_EQ(engine.live_events(), 5u);
-  EXPECT_GT(engine.pending_events(), engine.live_events());
+  SimTime next;
+  ASSERT_TRUE(engine.peek_next_time(&next));
+  EXPECT_EQ(next, SimTime::epoch() + SimDuration::seconds(2));
+  expect_accounting(engine);
+
+  // A reschedule counts one cancel plus one schedule and keeps the event live.
+  EXPECT_TRUE(engine.reschedule(handles[1], SimTime::epoch() + SimDuration::seconds(20)));
+  EXPECT_EQ(engine.events_scheduled(), 11u);
+  EXPECT_EQ(engine.events_cancelled(), 6u);
+  EXPECT_EQ(engine.live_events(), 5u);
   expect_accounting(engine);
 
   // Cancelling twice (or cancelling a dead handle) must not double-count.
   handles[0].cancel();
-  EXPECT_EQ(engine.events_cancelled(), 5u);
+  EXPECT_EQ(engine.events_cancelled(), 6u);
   expect_accounting(engine);
 
   engine.run();
   EXPECT_EQ(engine.events_fired(), 5u);
   EXPECT_EQ(engine.live_events(), 0u);
+  EXPECT_EQ(engine.now(), SimTime::epoch() + SimDuration::seconds(20));
   expect_accounting(engine);
 
-  // Cancelling after the event fired is inert too.
+  // Cancelling or rescheduling after the event fired is inert too.
   handles[1].cancel();
-  EXPECT_EQ(engine.events_cancelled(), 5u);
+  EXPECT_FALSE(engine.reschedule(handles[3], SimTime::epoch() + SimDuration::seconds(30)));
+  EXPECT_EQ(engine.events_cancelled(), 6u);
+  EXPECT_EQ(engine.events_scheduled(), 11u);
   expect_accounting(engine);
 }
 
-TEST(EventAccounting, RunUntilSentinelHusksStayConsistent) {
-  // World::run_until plants a deadline sentinel and cancels it on exit; on
-  // an empty world each call leaves one cancelled husk behind. The counters
-  // must agree with live_events() no matter how many husks pile up.
+TEST(EventAccounting, RunUntilSentinelCancelsStayConsistent) {
+  // World::run_until plants a deadline sentinel and cancels it on exit, so
+  // on an empty world each call schedules and cancels one event. The
+  // counters must agree with live_events() across repeated calls.
   bench::World world(/*seed=*/7);
   for (int i = 0; i < 5; ++i) {
     const bench::RunOutcome out = world.run_until([] { return false; });
