@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 
 #include "cloud/fabric.hpp"
 #include "cloud/provider.hpp"
@@ -289,13 +291,39 @@ void BM_StreamPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamPipeline)->Unit(benchmark::kMillisecond);
 
+/// Feeds `batches` in turn to each of `sites` WindowAggregateOperators (one
+/// batch per site per round) and closes every window after a full pass over
+/// `batches`: the keyed update loop plus the dense flush iteration.
+void run_keyed_aggregate(benchmark::State& state, stream::AggregateFn fn, std::size_t sites,
+                         const std::vector<stream::RecordBatch>& batches) {
+  std::vector<stream::WindowAggregateOperator> ops;
+  ops.reserve(sites);
+  for (std::size_t i = 0; i < sites; ++i) ops.emplace_back("agg", SimDuration::seconds(1), fn);
+  stream::RecordBatch none;
+  stream::RecordBatch out;
+  std::int64_t records = 0;
+  std::size_t b = 0;
+  std::size_t site = 0;
+  for (auto _ : state) {
+    ops[site].process(0, batches[b], none);
+    records += static_cast<std::int64_t>(batches[b].size());
+    if (++site < sites) continue;
+    site = 0;
+    if (++b < batches.size()) continue;
+    b = 0;
+    for (auto& op : ops) {
+      out.clear();
+      op.on_timer(SimTime::epoch(), out);
+      benchmark::DoNotOptimize(out.size());
+    }
+  }
+  state.SetItemsProcessed(records);
+}
+
 void BM_KeyedAggregate(benchmark::State& state) {
-  // Keyed tumbling-window state: 1024-record batches over `range(0)` keys,
-  // window flush every 64 batches — the WindowAggregateOperator hot loop
-  // plus the dense flush iteration.
+  // Keyed tumbling-window state: 1024-record batches over `range(0)`
+  // uniform keys, window flush every 64 batches.
   const auto keys = static_cast<std::uint64_t>(state.range(0));
-  stream::WindowAggregateOperator op("agg", SimDuration::seconds(1),
-                                     stream::AggregateFn::kMean);
   constexpr std::size_t kBatch = 1024;
   std::vector<stream::RecordBatch> batches;
   Rng rng(3);
@@ -309,21 +337,35 @@ void BM_KeyedAggregate(benchmark::State& state) {
     }
     batches.push_back(std::move(in));
   }
-  stream::RecordBatch none;
-  stream::RecordBatch out;
-  std::size_t b = 0;
-  for (auto _ : state) {
-    op.process(0, batches[b], none);
-    if (++b == batches.size()) {
-      b = 0;
-      out.clear();
-      op.on_timer(SimTime::epoch(), out);
-      benchmark::DoNotOptimize(out.size());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+  run_keyed_aggregate(state, stream::AggregateFn::kMean, 1, batches);
 }
 BENCHMARK(BM_KeyedAggregate)->Arg(1 << 10)->Arg(1 << 16);
+
+void BM_KeyedAggregate_GeoStream(benchmark::State& state) {
+  // geo-stream's per-site window: Zipf(20k keys, skew 1.1) clicks that
+  // survive the key % 11 != 3 bot filter, ~900-record batches (100 ms of a
+  // 10k rec/s source), kCount, and a flush every 50 batches (a 5 s window).
+  // `range(0)` sites take turns, each with its own window state, so at 6
+  // (the workload's site count) five other states are touched between two
+  // batches of one site.
+  constexpr std::size_t kSourceBatch = 1000;
+  const ZipfSampler zipf(20000, 1.1);
+  std::vector<stream::RecordBatch> batches;
+  Rng rng(3);
+  for (int b = 0; b < 50; ++b) {
+    stream::RecordBatch in;
+    for (std::size_t i = 0; i < kSourceBatch; ++i) {
+      stream::Record r;
+      r.key = static_cast<std::uint64_t>(zipf(rng));
+      r.value = 2.0 * rng.normal(1.0, 0.5) + 1.0;
+      if (r.key % 11 != 3) in.add(r);
+    }
+    batches.push_back(std::move(in));
+  }
+  run_keyed_aggregate(state, stream::AggregateFn::kCount,
+                      static_cast<std::size_t>(state.range(0)), batches);
+}
+BENCHMARK(BM_KeyedAggregate_GeoStream)->Arg(1)->Arg(6);
 
 void BM_KeyedAggregateAoS(benchmark::State& state) {
   // Array-of-structs reference for BM_KeyedAggregate: the identical keyed
@@ -486,6 +528,42 @@ void BM_BatchTranspose(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_BatchTranspose);
+
+/// The per-draw Zipf inversion ZipfSampler replaced: the normalization's
+/// pow() and 1/(1 - s) are recomputed on every call.
+std::int64_t per_draw_zipf(Rng& rng, std::int64_t n, double s) {
+  if (n <= 1) return 0;
+  const double u = rng.uniform();
+  if (s == 1.0) {
+    const double h = std::log(static_cast<double>(n));
+    return static_cast<std::int64_t>(std::exp(u * h)) - 1;
+  }
+  const double one_minus_s = 1.0 - s;
+  const double h = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
+  const double x = std::pow(u * h * one_minus_s + 1.0, 1.0 / one_minus_s);
+  auto k = static_cast<std::int64_t>(x) - 1;
+  if (k < 0) k = 0;
+  if (k >= n) k = n - 1;
+  return k;
+}
+
+void BM_ZipfDraw(benchmark::State& state) {
+  // One geo-stream key draw (20k keys, skew 1.1). Arg 0 recomputes the
+  // normalization per draw; arg 1 draws from a ZipfSampler that holds it.
+  std::int64_t n = 20000;
+  double s = 1.1;
+  benchmark::DoNotOptimize(n);  // run-time inputs: keep pow() unfolded
+  benchmark::DoNotOptimize(s);
+  Rng rng(5);
+  if (state.range(0) == 0) {
+    for (auto _ : state) benchmark::DoNotOptimize(per_draw_zipf(rng, n, s));
+  } else {
+    const ZipfSampler zipf(n, s);
+    for (auto _ : state) benchmark::DoNotOptimize(zipf(rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfDraw)->Arg(0)->Arg(1);
 
 monitor::ThroughputMatrix bench_matrix() {
   monitor::ThroughputMatrix m;

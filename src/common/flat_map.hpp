@@ -63,6 +63,18 @@ class FlatMap {
 
   [[nodiscard]] bool contains(std::uint64_t key) const { return find(key) != nullptr; }
 
+  /// Start loading the cache lines of `key`'s home slot (occupancy, key and
+  /// value), so a loop can request the memory some records before it looks
+  /// the key up. A hint only: the map is never changed, and a map with no
+  /// storage yet ignores it.
+  void prefetch(std::uint64_t key) const {
+    if (capacity() == 0) return;  // shift_ is 64 here; slot_of would be UB
+    const std::size_t i = slot_of(key);
+    __builtin_prefetch(&used_[i]);
+    __builtin_prefetch(&keys_[i]);
+    __builtin_prefetch(&vals_[i]);
+  }
+
   /// Remove `key`; returns whether it was present. Backward-shifts the
   /// probe cluster so no tombstones are left behind.
   bool erase(std::uint64_t key) {

@@ -18,24 +18,18 @@ double Rng::pareto(double xm, double alpha) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
-std::int64_t Rng::zipf(std::int64_t n, double s) {
+ZipfSampler::ZipfSampler(std::int64_t n, double s) : n_(n), log_(s == 1.0) {
   // Rejection-inversion would be overkill for workload keys; a simple
   // normalized power-law inversion over a truncated harmonic sum suffices
   // and stays deterministic.
-  if (n <= 1) return 0;
-  const double u = uniform();
-  // Invert the continuous approximation of the Zipf CDF.
-  if (s == 1.0) {
-    const double h = std::log(static_cast<double>(n));
-    return static_cast<std::int64_t>(std::exp(u * h)) - 1;
+  if (n_ <= 1) return;  // every draw is key 0
+  if (log_) {
+    h_ = std::log(static_cast<double>(n));
+    return;
   }
-  const double one_minus_s = 1.0 - s;
-  const double h = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
-  const double x = std::pow(u * h * one_minus_s + 1.0, 1.0 / one_minus_s);
-  auto k = static_cast<std::int64_t>(x) - 1;
-  if (k < 0) k = 0;
-  if (k >= n) k = n - 1;
-  return k;
+  oms_ = 1.0 - s;
+  h_ = (std::pow(static_cast<double>(n), oms_) - 1.0) / oms_;
+  inv_ = 1.0 / oms_;
 }
 
 }  // namespace sage

@@ -96,8 +96,6 @@ class Rng {
   double pareto(double xm, double alpha);
   /// Bernoulli trial.
   bool chance(double p);
-  /// Zipf-like integer in [0, n) with exponent s (workload key skew).
-  std::int64_t zipf(std::int64_t n, double s);
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
@@ -107,6 +105,36 @@ class Rng {
   std::array<std::uint64_t, 4> s_{};
   double spare_ = 0.0;
   bool has_spare_ = false;
+};
+
+/// Zipf-like integers in [0, n) with exponent s (workload key skew), drawn
+/// by inverting the continuous approximation of the Zipf CDF — one uniform
+/// per draw. The per-(n, s) constants are computed once at construction, so
+/// a source pays the normalization's pow() and division per batch rather
+/// than per record.
+class ZipfSampler {
+ public:
+  ZipfSampler(std::int64_t n, double s);
+
+  std::int64_t operator()(Rng& rng) const {
+    if (n_ <= 1) return 0;  // before the draw: a one-key space consumes none
+    const double u = rng.uniform();
+    if (log_) return static_cast<std::int64_t>(std::exp(u * h_)) - 1;
+    // Operand order is fixed: (u * h) * oms rounds differently from
+    // u * (h * oms), and a one-ulp move in x can move a key.
+    const double x = std::pow((u * h_) * oms_ + 1.0, inv_);
+    auto k = static_cast<std::int64_t>(x) - 1;
+    if (k < 0) k = 0;
+    if (k >= n_) k = n_ - 1;
+    return k;
+  }
+
+ private:
+  std::int64_t n_;
+  bool log_;          // s == 1: the CDF inverts through exp/log
+  double h_ = 0.0;    // normalization: log(n), or (n^oms - 1) / oms
+  double oms_ = 0.0;  // 1 - s
+  double inv_ = 0.0;  // 1 / oms
 };
 
 }  // namespace sage

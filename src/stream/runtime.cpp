@@ -205,11 +205,12 @@ void StreamRuntime::emit_source(VertexId v) {
 
   RecordBatch batch = acquire_batch();
   batch.reserve(static_cast<std::size_t>(count));
-  // Columnar emission with the skew branch hoisted out of the loop. Only
-  // the RNG-fed key/value columns fill record by record — the draw order
-  // (key, then value, per record) matches the record-at-a-time form
-  // exactly, so generated streams are unchanged — while the constant
-  // event-time and wire columns bulk-fill afterwards.
+  // Columnar emission with the skew branch and the Zipf constants hoisted
+  // out of the loop (one ZipfSampler per batch). Only the RNG-fed key/value
+  // columns fill record by record — the draw order (key, then value, per
+  // record) matches the record-at-a-time form exactly, so generated streams
+  // are unchanged — while the constant event-time and wire columns
+  // bulk-fill afterwards.
   const SimTime now = engine_.now();
   const Bytes rsize = vx.source.record_size;
   const double mean = vx.source.value_mean;
@@ -223,10 +224,9 @@ void StreamRuntime::emit_source(VertexId v) {
   std::uint64_t* kp = ks.data();
   double* vp = vs.data();
   if (vx.source.key_skew > 0.0) {
-    const auto keys = static_cast<std::int64_t>(vx.source.key_count);
-    const double skew = vx.source.key_skew;
+    const ZipfSampler zipf(static_cast<std::int64_t>(vx.source.key_count), vx.source.key_skew);
     for (std::size_t i = kbase; i < kfilled; ++i) {
-      kp[i] = static_cast<std::uint64_t>(rng_.zipf(keys, skew));
+      kp[i] = static_cast<std::uint64_t>(zipf(rng_));
       vp[i] = rng_.normal(mean, stddev);
     }
   } else {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -123,6 +124,44 @@ TEST(FlatMapTest, ReservePreventsRehash) {
   EXPECT_GE(cap * 3, 1000u * 4 / 2);  // sized for load factor < 3/4
   for (std::uint64_t k = 0; k < 1000; ++k) m[k] = 1;
   EXPECT_EQ(m.capacity(), cap);
+}
+
+TEST(FlatMapTest, PrefetchChangesNothing) {
+  // prefetch() is a cache hint. It must be safe on a map with no storage
+  // (shift_ is 64 there, so an unguarded slot_of shifts by the type width),
+  // after clear() and across growth, and it must leave contents and slot
+  // order exactly as in a twin map that never prefetches.
+  FlatMap<int> m;
+  FlatMap<int> twin;
+  m.prefetch(42);
+  EXPECT_EQ(m.capacity(), 0u);
+  EXPECT_TRUE(m.empty());
+  Rng rng(31);
+  for (int step = 0; step < 20'000; ++step) {
+    if (step == 10'000) {
+      m.clear();
+      twin.clear();
+      m.prefetch(3);
+    }
+    const auto key = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 14));
+    m.prefetch(key);
+    m.prefetch(key * 2654435761ULL);  // mostly absent keys
+    m[key] += step;
+    twin[key] += step;
+  }
+  EXPECT_EQ(m.size(), twin.size());
+  EXPECT_EQ(m.capacity(), twin.capacity());
+  std::vector<std::pair<std::uint64_t, int>> got;
+  std::vector<std::pair<std::uint64_t, int>> want;
+  m.for_each([&](std::uint64_t k, int v) { got.emplace_back(k, v); });
+  twin.for_each([&](std::uint64_t k, int v) { want.emplace_back(k, v); });
+  EXPECT_EQ(got, want);
+  for (const auto& [k, v] : want) {
+    m.prefetch(k);
+    const int* p = m.find(k);
+    ASSERT_NE(p, nullptr) << "key " << k;
+    EXPECT_EQ(*p, v);
+  }
 }
 
 TEST(FlatMapTest, DeterministicIterationOrder) {

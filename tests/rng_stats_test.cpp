@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -93,16 +94,55 @@ TEST(RngTest, ChanceFrequency) {
 
 TEST(RngTest, ZipfSkewsLow) {
   Rng rng(42);
+  const ZipfSampler zipf(1000, 1.2);
   int low = 0;
   const int n = 20'000;
   for (int i = 0; i < n; ++i) {
-    const auto k = rng.zipf(1000, 1.2);
+    const auto k = zipf(rng);
     EXPECT_GE(k, 0);
     EXPECT_LT(k, 1000);
     if (k < 10) ++low;
   }
   // With skew 1.2, the first 10 of 1000 keys should dominate.
   EXPECT_GT(low, n / 4);
+}
+
+// The per-draw Zipf inversion the sampler replaced, kept verbatim as the
+// reference oracle: it recomputes the normalization on every call.
+std::int64_t reference_zipf(Rng& rng, std::int64_t n, double s) {
+  if (n <= 1) return 0;
+  const double u = rng.uniform();
+  if (s == 1.0) {
+    const double h = std::log(static_cast<double>(n));
+    return static_cast<std::int64_t>(std::exp(u * h)) - 1;
+  }
+  const double one_minus_s = 1.0 - s;
+  const double h = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
+  const double x = std::pow(u * h * one_minus_s + 1.0, 1.0 / one_minus_s);
+  auto k = static_cast<std::int64_t>(x) - 1;
+  if (k < 0) k = 0;
+  if (k >= n) k = n - 1;
+  return k;
+}
+
+TEST(ZipfSamplerTest, BitExactAgainstPerDrawInversion) {
+  // Hoisting the constants must not move a single key or draw: every key
+  // matches the oracle's, and afterwards both generators sit at the same
+  // state (a one-key space consumes no draw; s == 1 keeps its log branch).
+  std::uint64_t seed = 100;
+  for (const std::int64_t n : {0, 1, 2, 1000, 20000}) {
+    for (const double s : {0.5, 0.99, 1.0, 1.1, 1.2, 2.0}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " s=" << s);
+      Rng oracle(++seed);
+      Rng rng(seed);
+      const ZipfSampler zipf(n, s);
+      for (int i = 0; i < 10'000; ++i) {
+        const std::int64_t want = reference_zipf(oracle, n, s);
+        ASSERT_EQ(zipf(rng), want) << "draw " << i;
+      }
+      EXPECT_EQ(rng.next_u64(), oracle.next_u64()) << "draw counts differ";
+    }
+  }
 }
 
 TEST(OnlineStatsTest, MeanVarianceMinMax) {
