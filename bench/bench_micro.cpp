@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 
 #include "cloud/fabric.hpp"
 #include "cloud/provider.hpp"
@@ -211,6 +212,46 @@ void BM_SettleSparse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFlows);
 }
 BENCHMARK(BM_SettleSparse)->Arg(8)->Arg(64)->Arg(256);
+
+void BM_SettleChurn(benchmark::State& state) {
+  // Steady start/complete churn on the noisy 6-region topology: N flows
+  // between 12 nodes (two per region) share NICs, so they form one
+  // component, and each completion starts a replacement flow. Every
+  // iteration runs the fabric to its next completion: the completion's
+  // re-settle, the replacement's activation and any refresh tick between.
+  const auto flows = static_cast<int>(state.range(0));
+  sim::SimEngine engine;
+  cloud::Fabric fabric(engine, cloud::default_topology(), 1);
+  std::vector<cloud::NodeId> nodes;
+  for (cloud::Region r : cloud::kAllRegions) {
+    for (int i = 0; i < 2; ++i) {
+      nodes.push_back(fabric.add_node(r, ByteRate::megabits_per_sec(400),
+                                      ByteRate::megabits_per_sec(400)));
+    }
+  }
+  Rng rng(5);
+  std::int64_t completed = 0;
+  std::function<void()> start = [&] {
+    // Node 2r + i sits in region r. The destination is in another region,
+    // so every flow crosses a WAN link.
+    const auto src = static_cast<std::size_t>(rng.uniform_int(0, 11));
+    const auto region = (src / 2 + static_cast<std::size_t>(rng.uniform_int(1, 5))) % 6;
+    const auto dst = 2 * region + static_cast<std::size_t>(rng.uniform_int(0, 1));
+    fabric.start_flow(nodes[src], nodes[dst], Bytes::mb(rng.uniform(1.0, 20.0)), {},
+                      [&](const cloud::FlowResult&) {
+                        ++completed;
+                        start();
+                      });
+  };
+  for (int i = 0; i < flows; ++i) start();
+  engine.run_until(engine.now() + SimDuration::seconds(5));  // reach steady churn
+  for (auto _ : state) {
+    const std::int64_t before = completed;
+    while (completed == before) engine.step();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SettleChurn)->Arg(64)->Arg(256);
 
 // ---------------------------------------------------------------------------
 // Streaming data plane.

@@ -24,11 +24,12 @@ double LinkCapacityModel::diurnal(SimTime t) const {
 }
 
 void LinkCapacityModel::advance_noise(SimTime t) {
-  if (params_.noise_sigma <= 0.0) return;
+  if (params_.noise_sigma <= 0.0 || noise_until_ > t) return;
   while (noise_until_ <= t) {
     noise_x_ = params_.noise_rho * noise_x_ + rng_.normal(0.0, params_.noise_sigma);
     noise_until_ = noise_until_ + params_.noise_step;
   }
+  noise_factor_ = std::exp(noise_x_);
 }
 
 void LinkCapacityModel::advance_incidents(SimTime t) {
@@ -58,12 +59,11 @@ ByteRate LinkCapacityModel::capacity_at(SimTime t) {
   advance_noise(t);
   advance_incidents(t);
   last_query_ = t;
-  const double noise = params_.noise_sigma > 0.0 ? std::exp(noise_x_) : 1.0;
   // Clamp the composite factor: capacity never exceeds 130% of base (links
   // are provisioned, not magic) and never drops below 5% (routing keeps a
   // trickle alive even during incidents).
   const double factor =
-      std::clamp(diurnal(t) * noise * incident_factor_, 0.05, 1.3);
+      std::clamp(diurnal(t) * noise_factor_ * incident_factor_, 0.05, 1.3);
   last_factor_ = factor;
   return base_ * factor;
 }

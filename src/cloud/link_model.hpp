@@ -15,7 +15,8 @@
 //     uniform depth factor for an exponentially distributed duration.
 //
 // The model is deterministic given its Rng seed and is evaluated lazily:
-// capacity_at(t) may only be called with non-decreasing t.
+// capacity_at(t) may only be called with non-decreasing t. A repeat query at
+// the same instant draws nothing and returns the same value.
 #pragma once
 
 #include "common/rng.hpp"
@@ -76,6 +77,7 @@ class LinkCapacityModel {
 
   // AR(1) log-noise state.
   double noise_x_ = 0.0;
+  double noise_factor_ = 1.0;  // exp(noise_x_), refreshed per noise segment
   SimTime noise_until_ = SimTime::epoch();
 
   // Incident process state.

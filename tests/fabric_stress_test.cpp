@@ -14,6 +14,7 @@
 
 #include "cloud/fabric.hpp"
 #include "cloud/topology.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "simcore/engine.hpp"
@@ -33,6 +34,22 @@ struct ScenarioLog {
   std::array<std::int64_t, kRegionCount> egress{};
 
   bool operator==(const ScenarioLog&) const = default;
+
+  /// Order-sensitive hash of every logged integer.
+  [[nodiscard]] std::uint64_t digest() const {
+    std::uint64_t h = kFnvOffset;
+    const auto add = [&h](std::int64_t v) {
+      h = hash_combine(h, hash_u64(static_cast<std::uint64_t>(v)));
+    };
+    for (const auto& [id, outcome, transferred, finished] : results) {
+      add(static_cast<std::int64_t>(id));
+      add(outcome);
+      add(transferred);
+      add(finished);
+    }
+    for (std::int64_t e : egress) add(e);
+    return h;
+  }
 };
 
 ScenarioLog run_scenario(std::uint64_t seed) {
@@ -132,6 +149,22 @@ TEST(FabricStressTest, TwoRunsWithSameSeedAreIdentical) {
   const ScenarioLog a = run_scenario(23);
   const ScenarioLog b = run_scenario(23);
   EXPECT_EQ(a, b);
+}
+
+// The seed-23 log (noisy topology, churn, cancels, node failures) pinned as
+// a digest: a fabric change that moves any completion time, outcome, byte
+// count or egress meter fails here. The pin assumes glibc's libm, since
+// capacity noise and the scenario script go through exp/log. Recompute it
+// only for an intended change of simulated behaviour:
+//
+//   ./build/tests/fabric_stress_test --gtest_filter='*Pinned*'
+//
+// prints the new value in the failure message.
+TEST(FabricStressTest, LogMatchesPinnedDigest) {
+  constexpr std::uint64_t kPinned = 0x34943b63208c9b79ULL;
+  const ScenarioLog log = run_scenario(23);
+  EXPECT_EQ(log.results.size(), static_cast<std::size_t>(kFlows));
+  EXPECT_EQ(log.digest(), kPinned) << std::hex << "digest 0x" << log.digest();
 }
 
 }  // namespace
