@@ -26,9 +26,8 @@
 //      SAGE_PAR_SHARDS and harness thread counts.
 //
 // Chaos here is enabled explicitly per controller — this binary IS the
-// chaos experiment. The ambient SAGE_CHAOS gate governs ordinary worlds;
-// with it unset (or =0) every OTHER bench binary attaches no controller and
-// prints byte-identical output, which the CI chaos-off diff asserts.
+// chaos experiment. No other bench binary constructs a controller, so
+// their worlds run fault-free.
 #include "bench_util.hpp"
 
 #include "chaos/chaos.hpp"

@@ -1,8 +1,7 @@
 #include "chaos/chaos.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <utility>
 
 #include "common/check.hpp"
@@ -12,15 +11,6 @@ namespace sage::chaos {
 
 namespace {
 
-bool env_chaos_default() {
-  const char* env = std::getenv("SAGE_CHAOS");
-  // Off unless explicitly "1": chaos is an opt-in stressor, and the default
-  // must reproduce every figure bench byte for byte.
-  return env != nullptr && std::strcmp(env, "1") == 0;
-}
-
-bool g_chaos = env_chaos_default();
-
 std::string time_label(SimTime t) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "t=%.3fs", (t - SimTime::epoch()).to_seconds());
@@ -28,10 +18,6 @@ std::string time_label(SimTime t) {
 }
 
 }  // namespace
-
-bool chaos_enabled() { return g_chaos; }
-
-void set_chaos_enabled(bool enabled) { g_chaos = enabled; }
 
 const char* to_string(FaultKind kind) {
   switch (kind) {

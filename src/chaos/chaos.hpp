@@ -10,11 +10,10 @@
 // plan to its own fabric through the lane's event queue, so S in {1,2,4}
 // stays byte-identical).
 //
-// Every hook is gated twice: the process-wide SAGE_CHAOS environment
-// default (off unless "1"), snapshotted by stream::RuntimeConfig::chaos,
-// and the controller's own `enabled` flag. A disabled controller schedules
-// nothing and touches nothing — chaos-off runs reproduce healthy output
-// byte for byte, which the differential tests and the CI bench diff pin.
+// Chaos exists in a world only where a caller constructs a controller, and
+// every constructor takes an explicit `enabled` flag. A disabled controller
+// schedules nothing and touches nothing — chaos-off runs reproduce healthy
+// output byte for byte, which the differential tests pin.
 //
 // The fabric-side mutations live in cloud::Fabric (set_link_chaos_scale /
 // set_link_chaos_latency / chaos_drop_pair_flows) and follow the
@@ -42,15 +41,6 @@ class MonitoringService;
 }  // namespace sage::monitor
 
 namespace sage::chaos {
-
-/// Process-wide default for the fault-injection layer: `SAGE_CHAOS` in the
-/// environment (on only when set to "1"), read once. Benches and tests
-/// consult it (usually via stream::RuntimeConfig::chaos) to decide whether
-/// a world gets a ChaosController; nothing else reads it, so the off state
-/// is a byte-identical no-op by construction.
-[[nodiscard]] bool chaos_enabled();
-/// Override the process-wide default (tests and A/B benches).
-void set_chaos_enabled(bool enabled);
 
 enum class FaultKind : std::uint8_t {
   kLinkDown,         // capacity of the directed pair (a, b) -> 0
@@ -162,14 +152,14 @@ class ChaosController {
  public:
   /// Plain single-engine world.
   ChaosController(sim::SimEngine& engine, ChaosTargets targets, FaultPlan plan,
-                  bool enabled = chaos_enabled());
+                  bool enabled);
   /// Region-sharded world: one ChaosTargets per lane (lane_count entries).
   /// Every event is posted to every lane that has a fabric, through the
   /// sharded engine's own post path, at the same absolute sim time — each
   /// lane mutates only its own fabric inside its own event context, so any
   /// shard count replays the identical fault sequence.
   ChaosController(sim::ShardedSimEngine& engine, std::vector<ChaosTargets> lanes,
-                  FaultPlan plan, bool enabled = chaos_enabled());
+                  FaultPlan plan, bool enabled);
   ChaosController(const ChaosController&) = delete;
   ChaosController& operator=(const ChaosController&) = delete;
 

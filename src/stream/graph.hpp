@@ -75,8 +75,8 @@ class JobGraph {
   /// with outputs, sources with inputs, or a port-1 edge into a non-join.
   void validate() const;
 
-  /// Collapse linear runs of same-site stateless operators (maps, filters,
-  /// already-fused chains) into single FusedStatelessChain vertices, so a
+  /// Collapse linear runs of same-site stateless chains (every map and
+  /// filter is a one-stage chain) into single longer chains, so a
   /// batch crosses the run in one executor dispatch with no intermediate
   /// materialization. Only merges A -> B where A has exactly one out-edge
   /// and B exactly one in-edge; vertex ids are preserved (B's operator moves

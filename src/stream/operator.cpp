@@ -6,62 +6,6 @@
 
 namespace sage::stream {
 
-void MapOperator::process(int port, const RecordBatch& in, RecordBatch& out) {
-  SAGE_CHECK_MSG(port == 0, "map has a single input port");
-  if (out.empty()) {
-    // Whole-batch fast path: bulk-copy the columns, then transform in
-    // place exactly as process_batch would — identical output, no
-    // per-record gather/append.
-    out.append(in);
-    apply_(out);
-    return;
-  }
-  const std::size_t n = in.size();
-  out.reserve(out.size() + n);
-  for (std::size_t i = 0; i < n; ++i) out.add(fn_(in.row(i)));
-}
-
-void MapOperator::process_batch(int port, RecordBatch&& in, RecordBatch& out) {
-  SAGE_CHECK_MSG(port == 0, "map has a single input port");
-  SAGE_CHECK_MSG(out.empty(), "process_batch writes into an empty batch");
-  out.append(std::move(in));
-  apply_(out);
-}
-
-bool MapOperator::collect_stages(std::vector<StatelessStage>& stages) const {
-  stages.push_back(StatelessStage{fn_, nullptr, apply_, cost_});
-  return true;
-}
-
-void FilterOperator::process(int port, const RecordBatch& in, RecordBatch& out) {
-  SAGE_CHECK_MSG(port == 0, "filter has a single input port");
-  if (out.empty()) {
-    // Whole-batch fast path: bulk-copy the columns, then compact in place
-    // exactly as process_batch would — identical survivors, no per-record
-    // gather/append.
-    out.append(in);
-    apply_(out);
-    return;
-  }
-  const std::size_t n = in.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Record r = in.row(i);
-    if (pred_(r)) out.add(r);
-  }
-}
-
-void FilterOperator::process_batch(int port, RecordBatch&& in, RecordBatch& out) {
-  SAGE_CHECK_MSG(port == 0, "filter has a single input port");
-  SAGE_CHECK_MSG(out.empty(), "process_batch writes into an empty batch");
-  out.append(std::move(in));
-  apply_(out);
-}
-
-bool FilterOperator::collect_stages(std::vector<StatelessStage>& stages) const {
-  stages.push_back(StatelessStage{nullptr, pred_, apply_, cost_});
-  return true;
-}
-
 FusedStatelessChain::FusedStatelessChain(std::string name,
                                          std::vector<StatelessStage> stages)
     : name_(std::move(name)), stages_(std::move(stages)) {

@@ -13,14 +13,15 @@
 //
 // Two hot-path mechanisms keep the data plane cheap:
 //
-//   * `process_batch` consumes the input batch by value. Stateless
-//     operators (map, filter, fused chains) override it to transform the
-//     batch in place — no intermediate RecordBatch is materialized and the
-//     input buffer flows through to the output.
+//   * `process_batch` consumes the input batch by value. The one stateless
+//     operator, `FusedStatelessChain` (every map and filter factory builds
+//     a one-stage chain), overrides it to transform the batch in place — no
+//     intermediate RecordBatch is materialized and the input buffer flows
+//     through to the output.
 //   * Adjacent stateless vertices are collapsed by
-//     `JobGraph::fuse_stateless_chains()` into one `FusedStatelessChain`
-//     that runs every stage in a single pass over the batch. Operators
-//     advertise fusibility via `collect_stages`.
+//     `JobGraph::fuse_stateless_chains()` into one chain that runs every
+//     stage over the same buffer. Operators advertise fusibility via
+//     `collect_stages`.
 //
 // Keyed state (window aggregates, joins, top-k) lives in open-addressing
 // `FlatMap`s (common/flat_map.hpp) so the per-record update path probes
@@ -322,83 +323,24 @@ class Operator {
 };
 
 // ---------------------------------------------------------------------------
-// Stateless operators.
+// Stateless stages.
 // ---------------------------------------------------------------------------
 
-class MapOperator final : public Operator {
- public:
-  using Fn = MapFn;
-  /// Templated on the concrete callable so the hot batch path
-  /// (`make_map_apply`) inlines it; `fn_` keeps a type-erased copy for the
-  /// record-at-a-time `process` path.
-  template <class F>
-    requires std::is_invocable_r_v<Record, const F&, const Record&>
-  MapOperator(std::string name, F fn, double cost = 1.0)
-      : name_(std::move(name)), fn_(fn), apply_(make_map_apply(std::move(fn))),
-        cost_(cost) {
-    SAGE_CHECK(cost_ > 0.0);
-  }
-  /// Pre-lowered form (the make_value_map factory): a type-erased
-  /// record-at-a-time view plus the column kernel built from the same
-  /// concrete callable.
-  MapOperator(std::string name, MapFn fn, BatchApplyFn apply, double cost)
-      : name_(std::move(name)), fn_(std::move(fn)), apply_(std::move(apply)),
-        cost_(cost) {
-    SAGE_CHECK(cost_ > 0.0);
-  }
-
-  void process(int port, const RecordBatch& in, RecordBatch& out) override;
-  void process_batch(int port, RecordBatch&& in, RecordBatch& out) override;
-  [[nodiscard]] double cost_per_record() const override { return cost_; }
-  [[nodiscard]] bool collect_stages(std::vector<StatelessStage>& stages) const override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
- private:
-  std::string name_;
-  Fn fn_;
-  BatchApplyFn apply_;
-  double cost_;
-};
-
-class FilterOperator final : public Operator {
- public:
-  using Pred = FilterPred;
-  template <class F>
-    requires std::is_invocable_r_v<bool, const F&, const Record&>
-  FilterOperator(std::string name, F pred, double cost = 0.5)
-      : name_(std::move(name)), pred_(pred), apply_(make_filter_kernel(std::move(pred))),
-        cost_(cost) {
-    SAGE_CHECK(cost_ > 0.0);
-  }
-  /// Pre-lowered form (the make_value_filter / make_key_filter factories).
-  FilterOperator(std::string name, FilterPred pred, BatchApplyFn apply, double cost)
-      : name_(std::move(name)), pred_(std::move(pred)), apply_(std::move(apply)),
-        cost_(cost) {
-    SAGE_CHECK(cost_ > 0.0);
-  }
-
-  void process(int port, const RecordBatch& in, RecordBatch& out) override;
-  void process_batch(int port, RecordBatch&& in, RecordBatch& out) override;
-  [[nodiscard]] double cost_per_record() const override { return cost_; }
-  [[nodiscard]] bool collect_stages(std::vector<StatelessStage>& stages) const override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
- private:
-  std::string name_;
-  Pred pred_;
-  BatchApplyFn apply_;
-  double cost_;
-};
-
-/// A chain of stateless stages collapsed into one vertex: one pass over the
-/// batch, no intermediate materialization. The runtime executes stages
-/// individually (`stage_count` / `stage_cost` / `apply_stage`) so the
-/// simulated processing time — including the CPU factor sampled at each
-/// stage boundary — is identical to the unfused chain's.
+/// The one stateless operator: a chain of map / filter stages run as one
+/// vertex over one batch buffer, with no intermediate materialization. Every
+/// map and filter factory builds a one-stage chain, and
+/// `JobGraph::fuse_stateless_chains()` merges adjacent chains. The runtime
+/// executes stages individually (`stage_count` / `stage_cost` /
+/// `apply_stage`), so the simulated processing time — including the CPU
+/// factor sampled at each stage boundary — is identical to running each
+/// stage as its own vertex.
 class FusedStatelessChain final : public Operator {
  public:
   FusedStatelessChain(std::string name, std::vector<StatelessStage> stages);
 
+  /// Row-at-a-time reference: each record runs through the stages' own
+  /// `map` / `filter` and survivors append to `out`. Tests hold the batch
+  /// passes to it; the runtime never calls it.
   void process(int port, const RecordBatch& in, RecordBatch& out) override;
   void process_batch(int port, RecordBatch&& in, RecordBatch& out) override;
   /// Sum of stage costs — the chain's worst-case per-record work; the
@@ -418,6 +360,9 @@ class FusedStatelessChain final : public Operator {
   std::string name_;
   std::vector<StatelessStage> stages_;
 };
+
+[[nodiscard]] std::shared_ptr<Operator> make_fused(std::string name,
+                                                   std::vector<StatelessStage> stages);
 
 // ---------------------------------------------------------------------------
 // Keyed tumbling-window aggregation.
@@ -574,23 +519,29 @@ class TopKOperator final : public Operator {
   std::vector<std::pair<std::uint64_t, KeyWeight>> sort_scratch_;
 };
 
-// Factory helpers. make_map / make_filter are templates so the concrete
-// callable type survives into the operator's batch-apply path (see
-// make_map_apply); passing a std::function still works, it just keeps the
-// extra indirection. The value/key variants take a callable over the single
-// field they read — the stage then compiles to a kernel over that one
-// column (see make_value_map_kernel etc.); they are separate factories, not
-// overloads, because implicit conversions make double/uint64 invocability
-// ambiguous.
+// Stateless factories. Each builds a one-stage FusedStatelessChain whose
+// stage keeps the record-level map / filter (the oracle) beside its batch
+// pass. make_map / make_filter are templates so the concrete callable type
+// survives into the batch pass (see make_map_apply / make_filter_kernel);
+// passing a std::function still works, it just keeps the extra indirection.
+// The value/key variants take a callable over the single field they read —
+// the stage then compiles to a kernel over that one column (see
+// make_value_map_kernel etc.); they are separate factories, not overloads,
+// because implicit conversions make double/uint64 invocability ambiguous.
 template <class F>
+  requires std::is_invocable_r_v<Record, const F&, const Record&>
 [[nodiscard]] std::shared_ptr<Operator> make_map(std::string name, F fn,
                                                  double cost = 1.0) {
-  return std::make_shared<MapOperator>(std::move(name), std::move(fn), cost);
+  return make_fused(std::move(name),
+                    {StatelessStage{MapFn(fn), nullptr, make_map_apply(std::move(fn)), cost}});
 }
 template <class F>
+  requires std::is_invocable_r_v<bool, const F&, const Record&>
 [[nodiscard]] std::shared_ptr<Operator> make_filter(std::string name, F pred,
                                                     double cost = 0.5) {
-  return std::make_shared<FilterOperator>(std::move(name), std::move(pred), cost);
+  return make_fused(std::move(name), {StatelessStage{nullptr, FilterPred(pred),
+                                                     make_filter_kernel(std::move(pred)),
+                                                     cost}});
 }
 /// Map that rewrites only the value: `fn` is `double -> double`.
 template <class F>
@@ -602,8 +553,9 @@ template <class F>
     o.value = fn(r.value);
     return o;
   };
-  return std::make_shared<MapOperator>(std::move(name), MapFn(on_record),
-                                       make_value_map_kernel(std::move(fn)), cost);
+  return make_fused(std::move(name), {StatelessStage{MapFn(on_record), nullptr,
+                                                     make_value_map_kernel(std::move(fn)),
+                                                     cost}});
 }
 /// Filter on the value alone: `pred` is `double -> bool`.
 template <class F>
@@ -611,9 +563,9 @@ template <class F>
 [[nodiscard]] std::shared_ptr<Operator> make_value_filter(std::string name, F pred,
                                                           double cost = 0.5) {
   auto on_record = [pred](const Record& r) { return static_cast<bool>(pred(r.value)); };
-  return std::make_shared<FilterOperator>(std::move(name), FilterPred(on_record),
-                                          make_value_filter_kernel(std::move(pred)),
-                                          cost);
+  return make_fused(std::move(name),
+                    {StatelessStage{nullptr, FilterPred(on_record),
+                                    make_value_filter_kernel(std::move(pred)), cost}});
 }
 /// Filter on the key alone: `pred` is `uint64 -> bool`.
 template <class F>
@@ -621,12 +573,10 @@ template <class F>
 [[nodiscard]] std::shared_ptr<Operator> make_key_filter(std::string name, F pred,
                                                         double cost = 0.5) {
   auto on_record = [pred](const Record& r) { return static_cast<bool>(pred(r.key)); };
-  return std::make_shared<FilterOperator>(std::move(name), FilterPred(on_record),
-                                          make_key_filter_kernel(std::move(pred)),
-                                          cost);
+  return make_fused(std::move(name),
+                    {StatelessStage{nullptr, FilterPred(on_record),
+                                    make_key_filter_kernel(std::move(pred)), cost}});
 }
-[[nodiscard]] std::shared_ptr<Operator> make_fused(std::string name,
-                                                   std::vector<StatelessStage> stages);
 [[nodiscard]] std::shared_ptr<Operator> make_window_aggregate(
     std::string name, SimDuration window, AggregateFn fn,
     Bytes output_record_size = Bytes::of(64), double cost = 2.0);

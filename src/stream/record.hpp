@@ -102,7 +102,7 @@ class RecordBatch {
   void set_wire_size(Bytes total) { bytes_ = total; }
 
   // Columns. Mutating a column directly leaves the wire-byte total to the
-  // caller (finish with set_wire_size / recompute_wire_size).
+  // caller (finish with set_wire_size).
   [[nodiscard]] const std::vector<SimTime>& event_times() const { return event_time_; }
   [[nodiscard]] std::vector<SimTime>& event_times() { return event_time_; }
   [[nodiscard]] const std::vector<std::uint64_t>& keys() const { return key_; }
@@ -132,43 +132,6 @@ class RecordBatch {
     key_.resize(n);
     value_.resize(n);
     wire_.resize(n);
-  }
-
-  /// Sum the wire column into the tracked byte total (after direct column
-  /// surgery) and return it.
-  Bytes recompute_wire_size() {
-    Bytes total = Bytes::zero();
-    for (const Bytes b : wire_) total += b;
-    bytes_ = total;
-    return total;
-  }
-
-  /// Stable selection-mask compaction: keep exactly the rows whose mask
-  /// byte is non-zero, then refresh the tracked byte total from the
-  /// surviving wire column. `keep` must have size() entries. One pass over
-  /// all four columns — survivors slide forward to the write cursor (always
-  /// <= the read cursor, so stable and in-place safe) and only survivors
-  /// are stored, which wins at the high keep rates filters typically see.
-  void compact(const std::uint8_t* keep) {
-    const std::size_t n = size();
-    SimTime* t = event_time_.data();
-    std::uint64_t* k = key_.data();
-    double* v = value_.data();
-    Bytes* wire = wire_.data();
-    std::size_t w = 0;
-    std::int64_t total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (keep[i]) {
-        t[w] = t[i];
-        k[w] = k[i];
-        v[w] = v[i];
-        wire[w] = wire[i];
-        total += wire[i].count();
-        ++w;
-      }
-    }
-    truncate(w);
-    bytes_ = Bytes::of(total);
   }
 
   /// Lightweight row proxy: reference-semantics view of one row that

@@ -21,7 +21,7 @@ StreamRuntime::StreamRuntime(cloud::CloudProvider& provider, JobGraph graph,
       config_(config),
       rng_(config.seed) {
   graph_.validate();
-  if (config_.fuse_stateless_chains) graph_.fuse_stateless_chains();
+  graph_.fuse_stateless_chains();
   states_.resize(graph_.vertices().size());
   for (const Vertex& v : graph_.vertices()) {
     if (v.kind == VertexKind::kOperator) {
@@ -397,14 +397,15 @@ void StreamRuntime::process_next(VertexId v) {
   if (!vobs_.empty()) vobs_[v].consumed->add(work.batch.size());
 
   if (st.fused != nullptr) {
-    // Stage-wise execution: each stage is charged exactly like the vertex
-    // it was fused from — same cost, same batch size at that point in the
-    // chain, CPU factor sampled at the same simulated instants — so the
-    // fused pipeline's timestamps match the unfused one's bit for bit.
+    // Stage-wise execution: each stage is charged exactly as it would be
+    // on its own one-stage vertex — same cost, same batch size at that
+    // point in the chain, CPU factor sampled at the same simulated
+    // instants — so fusing a chain never moves a timestamp.
     run_fused_stage(v, std::move(work.batch), 0);
     return;
   }
 
+  // Stateful operators (windows, joins, top-k): one delay for the batch.
   const Vertex& vx = graph_.vertex(v);
   const SimDuration delay = compute_delay(
       vx.site, static_cast<double>(work.batch.size()) * vx.op->cost_per_record());

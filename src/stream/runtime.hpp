@@ -15,11 +15,12 @@
 //
 // Data-plane fast paths (see DESIGN.md "Streaming data plane"):
 //
-//   * Linear runs of same-site stateless operators are fused into single
-//     vertices at construction (JobGraph::fuse_stateless_chains). The
-//     executor still charges each stage's CPU cost separately — one
-//     simulated delay per stage, CPU factor sampled at every stage boundary
-//     — so fusion changes wall-clock speed, never simulated timing.
+//   * Every map and filter is a stateless chain, and linear runs of
+//     same-site chains are fused into single vertices at construction
+//     (JobGraph::fuse_stateless_chains). The executor still charges each
+//     stage's CPU cost separately — one simulated delay per stage, CPU
+//     factor sampled at every stage boundary — so fusion changes
+//     wall-clock speed, never simulated timing.
 //   * Batches move, never copy: operators consume their input via
 //     process_batch, the geo-batcher steals buffers, and drained batches
 //     return to a free-list pool instead of the allocator.
@@ -33,7 +34,6 @@
 #include <optional>
 #include <vector>
 
-#include "chaos/chaos.hpp"
 #include "cloud/provider.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -54,14 +54,9 @@ struct RuntimeConfig {
   SimDuration geo_batch_max_delay = SimDuration::seconds(1);
   /// Seed for source randomness.
   std::uint64_t seed = 42;
-  /// Collapse adjacent same-site stateless operators into fused vertices.
-  /// Simulated results are unchanged; this is a wall-clock optimization.
-  bool fuse_stateless_chains = true;
-  /// Fault-injection layer armed for this world: benches consult it to
-  /// decide whether to attach a ChaosController. Defaults from the
-  /// `SAGE_CHAOS` environment variable (off unless set to "1"); when off,
-  /// no controller exists and runs are byte-identical to a chaos-free build.
-  bool chaos = chaos::chaos_enabled();
+  /// Whether the caller attaches a ChaosController to this world. The
+  /// runtime itself never reads it.
+  bool chaos = false;
 };
 
 struct SinkStats {
@@ -123,8 +118,8 @@ class StreamRuntime {
     SinkStats sink;  // kSink only
     std::unique_ptr<sim::PeriodicTask> timer;  // operator timers / sources
     double carry = 0.0;  // fractional records owed by a source
-    /// Cached downcast: non-null when this vertex runs a fused chain (the
-    /// executor walks its stages individually).
+    /// Cached downcast: non-null when this vertex runs a stateless chain
+    /// (the executor walks its stages individually).
     const FusedStatelessChain* fused = nullptr;
   };
 

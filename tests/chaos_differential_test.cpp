@@ -4,9 +4,8 @@
 //
 //   * OFF is invisible: a constructed-but-disabled controller produces a
 //     world byte-identical to one with no controller at all (the fabric
-//     half lives in chaos_test.cpp; the streaming half is here). CI
-//     additionally diffs full bench-suite stdout with SAGE_CHAOS unset vs
-//     =0 against the same binary.
+//     half lives in chaos_test.cpp; the streaming half is here). Only
+//     worlds that construct a controller have chaos at all.
 //   * ON is deterministic: the same seed and schedule produce bit-identical
 //     results at any shard count (S in {1, 2, 4}) and any worker
 //     configuration (sequential fallback, 1 worker, 4 workers), because

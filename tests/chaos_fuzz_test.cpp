@@ -1,8 +1,7 @@
 // Fuzz / property suite for the chaos subsystem: 200 seeded random fault
-// schedules, each replayed on the configuration the seed selects from the
-// full grid — fused/unfused pipelines × shard counts {1, 2, 4} — with every
-// ChaosInvariants check applied afterwards. A failure prints the offending
-// seed and the full schedule so the repro is one line:
+// schedules, each replayed at the shard count the seed selects from
+// {1, 2, 4}, with every ChaosInvariants check applied afterwards. A failure
+// prints the offending seed and the full schedule so the repro is one line:
 //
 //   ./chaos_fuzz_test --gtest_filter='*/ChaosScheduleFuzz.*/<seed>'
 //
@@ -53,17 +52,11 @@ SimTime at(double seconds) { return SimTime::epoch() + SimDuration::seconds(seco
 
 ByteRate nic() { return ByteRate::megabits_per_sec(200); }
 
-/// The seed picks its own point on the config grid, so 200 seeds cover all
-/// six combinations ~33 times each.
-struct FuzzConfig {
-  bool fuse;
-  std::size_t shards;
-};
-
-FuzzConfig config_for(std::uint64_t seed) {
-  const std::uint64_t cell = seed % 6;
+/// The seed picks its own shard count, so 200 seeds cover each of the
+/// three ~67 times.
+std::size_t shards_for(std::uint64_t seed) {
   static constexpr std::size_t kShards[3] = {1, 2, 4};
-  return FuzzConfig{(cell & 1) != 0, kShards[cell / 2]};
+  return kShards[seed % 3];
 }
 
 // ---------------------------------------------------------------------------
@@ -149,7 +142,7 @@ void fuzz_fabric_world(std::uint64_t seed, std::size_t shards) {
 // schedule is attacking.
 // ---------------------------------------------------------------------------
 
-void fuzz_stream_world(std::uint64_t seed, bool fuse) {
+void fuzz_stream_world(std::uint64_t seed) {
   sim::SimEngine engine;
   obs::ObsConfig cfg;
   cfg.tracing = false;
@@ -209,7 +202,6 @@ void fuzz_stream_world(std::uint64_t seed, bool fuse) {
 
   stream::RuntimeConfig rc;
   rc.seed = seed;
-  rc.fuse_stateless_chains = fuse;
   rc.geo_batch_max_bytes = Bytes::kb(64);
   rc.geo_batch_max_delay = SimDuration::millis(250);
   stream::StreamRuntime runtime(provider, g, backend, rc);
@@ -218,8 +210,7 @@ void fuzz_stream_world(std::uint64_t seed, bool fuse) {
   FaultPlan plan = FaultPlan::random(seed * 31 + 5, provider.topology(),
                                      engine.now() + SimDuration::seconds(2),
                                      SimDuration::seconds(15), 6);
-  SCOPED_TRACE("seed=" + std::to_string(seed) + " fuse=" + std::to_string(fuse) +
-               "\nschedule:\n" + plan.describe());
+  SCOPED_TRACE("seed=" + std::to_string(seed) + "\nschedule:\n" + plan.describe());
   ChaosController chaos(engine, ChaosTargets{&provider.fabric(), &monitoring},
                         std::move(plan), /*enabled=*/true);
 
@@ -316,7 +307,7 @@ void fuzz_plane_world(std::uint64_t seed, std::size_t shards) {
 }
 
 // ---------------------------------------------------------------------------
-// 200 seeds; each runs both worlds at its grid cell (every 10th adds the
+// 200 seeds; each runs both worlds at its shard count (every 10th adds the
 // full sharded control plane).
 // ---------------------------------------------------------------------------
 
@@ -324,10 +315,10 @@ class ChaosScheduleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosScheduleFuzz, InvariantsHoldUnderRandomSchedule) {
   const std::uint64_t seed = GetParam();
-  const FuzzConfig fc = config_for(seed);
-  fuzz_fabric_world(seed, fc.shards);
-  fuzz_stream_world(seed, fc.fuse);
-  if (seed % 10 == 7) fuzz_plane_world(seed, fc.shards);
+  const std::size_t shards = shards_for(seed);
+  fuzz_fabric_world(seed, shards);
+  fuzz_stream_world(seed);
+  if (seed % 10 == 7) fuzz_plane_world(seed, shards);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosScheduleFuzz,

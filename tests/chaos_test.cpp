@@ -40,18 +40,8 @@ ByteRate nic() { return ByteRate::megabits_per_sec(200); }
 SimTime at(double seconds) { return SimTime::epoch() + SimDuration::seconds(seconds); }
 
 // ---------------------------------------------------------------------------
-// Gate and plan mechanics.
+// Plan mechanics.
 // ---------------------------------------------------------------------------
-
-TEST(ChaosGate, OverrideRoundTrips) {
-  const bool before = chaos::chaos_enabled();
-  chaos::set_chaos_enabled(!before);
-  EXPECT_EQ(chaos::chaos_enabled(), !before);
-  stream::RuntimeConfig rc;
-  EXPECT_EQ(rc.chaos, !before);  // RuntimeConfig snapshots the gate
-  chaos::set_chaos_enabled(before);
-  EXPECT_EQ(chaos::chaos_enabled(), before);
-}
 
 TEST(FaultPlanTest, BuildersRecordSortAndDescribe) {
   FaultPlan plan;

@@ -44,7 +44,7 @@ TEST(RecordBatchTest, TracksSizeAndBytes) {
   EXPECT_TRUE(b.wire_size().is_zero());
 }
 
-TEST(MapOperatorTest, TransformsEveryRecord) {
+TEST(MapStageTest, TransformsEveryRecord) {
   auto op = make_map("double", [](const Record& r) {
     Record out = r;
     out.value = r.value * 2.0;
@@ -60,7 +60,7 @@ TEST(MapOperatorTest, TransformsEveryRecord) {
   EXPECT_DOUBLE_EQ(out.row(1).value, 5.0);
 }
 
-TEST(FilterOperatorTest, DropsNonMatching) {
+TEST(FilterStageTest, DropsNonMatching) {
   auto op = make_filter("pos", [](const Record& r) { return r.value > 0.0; });
   RecordBatch in;
   in.add(make_record(1.0));
@@ -202,22 +202,6 @@ TEST(RecordBatchTest, MoveAppendLeavesSourceRecyclable) {
   EXPECT_EQ(pooled.size(), 1u);
   EXPECT_TRUE(incoming.empty());
   EXPECT_GE(incoming.capacity(), 64u);
-}
-
-TEST(RecordBatchTest, CompactKeepsMaskedRowsAndWireTotal) {
-  RecordBatch b;
-  for (int i = 0; i < 6; ++i) {
-    b.add(make_record(static_cast<double>(i), static_cast<std::uint64_t>(i)));
-  }
-  const std::vector<std::uint8_t> keep = {1, 0, 1, 0, 0, 1};
-  b.compact(keep.data());
-  ASSERT_EQ(b.size(), 3u);
-  EXPECT_DOUBLE_EQ(b.row(0).value, 0.0);
-  EXPECT_DOUBLE_EQ(b.row(1).value, 2.0);
-  EXPECT_DOUBLE_EQ(b.row(2).value, 5.0);
-  EXPECT_EQ(b.row(2).key, 5u);
-  EXPECT_EQ(b.wire_size(), Bytes::of(300));
-  EXPECT_EQ(b.recompute_wire_size(), Bytes::of(300));
 }
 
 // ---------------------------------------------------------------------------
