@@ -45,13 +45,14 @@ RunResult run_one(int sites, double rate) {
   g.connect(window, sink);
   for (int i = 0; i < sites; ++i) {
     const cloud::Region site = all[static_cast<std::size_t>(i)];
+    const std::string suffix = std::string("@").append(cloud::region_code(site));
     stream::SourceSpec spec;
     spec.records_per_sec = rate;
     spec.record_size = Bytes::of(200);
     spec.key_count = 500;
-    const auto source = g.add_source("events", site, spec);
+    const auto source = g.add_source("events" + suffix, site, spec);
     const auto filter = g.add_operator(
-        "clean", site, stream::make_key_filter("clean", [](std::uint64_t key) {
+        "clean" + suffix, site, stream::make_key_filter("clean", [](std::uint64_t key) {
           return key % 5 != 0;  // drop 20%
         }));
     g.connect(source, filter);

@@ -49,9 +49,9 @@ struct Cell {
 };
 
 // ---------------------------------------------------------------------------
-// Sharded scenario mode (--shards N / SAGE_PAR_SHARDS=N): the same cost/time
-// question asked through the *full control plane* — monitoring, tradeoff
-// solver, multipath planner, adaptive transfer — running region-sharded on
+// Sharded scenario mode (--shards N): the same cost/time question asked
+// through the *full control plane* — monitoring, tradeoff solver, multipath
+// planner, adaptive transfer — running region-sharded on
 // sim::ShardedSimEngine (core::ShardedSage). The stable topology plus
 // shard-local lanes make every printed value shard-count invariant, so CI
 // diffs S=1 vs S=4; only the wall clock changes with S.

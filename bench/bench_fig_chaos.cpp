@@ -23,7 +23,7 @@
 //      stack, not just the fabric) on core::ShardedSage at S in {1, 2, 4},
 //      same fault schedule on every lane, plus a `plain` unsharded-baseline
 //      row; S rows are byte-identical and CI diffs the stdout across
-//      SAGE_PAR_SHARDS and harness thread counts.
+//      --shards and harness thread counts.
 //
 // Chaos here is enabled explicitly per controller — this binary IS the
 // chaos experiment. No other bench binary constructs a controller, so

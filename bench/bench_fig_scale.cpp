@@ -14,10 +14,10 @@
 // cost per flow stays flat from 64 to 256 regions instead of growing with
 // the 4096x larger dense pair grid.
 //
-// Sharded mode (--shards N or SAGE_PAR_SHARDS=N, default off): the same grid
-// runs on the region-sharded ShardedSimEngine — regions partitioned across N
-// shards (cloud::plan_shards), one event lane + one fabric per shard, flows
-// owned by their source region's shard, and depth-1 relay traffic posted
+// Sharded mode (--shards N, default off): the same grid runs on the
+// region-sharded ShardedSimEngine — regions partitioned across N shards
+// (cloud::plan_shards), one event lane + one fabric per shard, flows owned
+// by their source region's shard, and depth-1 relay traffic posted
 // cross-shard at WAN latency (>= the conservative lookahead horizon by
 // construction, so the lock-step windows admit it). The sharded table uses a
 // *stable* topology — per-connection hiccup draws consume fabric RNG in flow

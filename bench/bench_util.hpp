@@ -291,13 +291,10 @@ class BenchContext {
   [[nodiscard]] bool smoke() const { return smoke_; }
   [[nodiscard]] int threads() const { return runner_.threads(); }
 
-  /// Region-shard count for benches with a sharded execution mode: --shards
-  /// wins, then SAGE_PAR_SHARDS, else 0 = sharded execution off (default —
-  /// the plain single-engine path runs and stdout matches historical output
-  /// byte for byte).
-  [[nodiscard]] int shards() const {
-    return shards_ > 0 ? shards_ : harness::env_shards();
-  }
+  /// Region-shard count for benches with a sharded execution mode: --shards,
+  /// else 0 = sharded execution off (default — the plain single-engine path
+  /// runs and stdout matches historical output byte for byte).
+  [[nodiscard]] int shards() const { return shards_; }
 
   /// Run `fn` over the grid on the scenario pool; results come back in
   /// task order (see harness::ScenarioRunner).

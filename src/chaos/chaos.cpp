@@ -309,21 +309,23 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const cloud::Topology& topo,
 
 ChaosController::ChaosController(sim::SimEngine& engine, ChaosTargets targets,
                                  FaultPlan plan, bool enabled)
-    : engine_(&engine), plan_(std::move(plan)), enabled_(enabled) {
-  lanes_.push_back(std::make_unique<LaneState>());
-  lanes_.back()->targets = targets;
+    : plan_(std::move(plan)), enabled_(enabled) {
+  lanes_.push_back(std::make_unique<LaneState>(&engine, targets));
   arm();
 }
 
 ChaosController::ChaosController(sim::ShardedSimEngine& engine,
                                  std::vector<ChaosTargets> lanes, FaultPlan plan,
                                  bool enabled)
-    : sharded_(&engine), plan_(std::move(plan)), enabled_(enabled) {
+    : plan_(std::move(plan)), enabled_(enabled) {
   SAGE_CHECK_MSG(lanes.size() == engine.lane_count(),
                  "chaos: one ChaosTargets per engine lane required");
-  for (ChaosTargets& t : lanes) {
-    lanes_.push_back(std::make_unique<LaneState>());
-    lanes_.back()->targets = t;
+  // Faults are lane-local (each lane owns its fabric), so they go straight
+  // into each lane's own queue and need no mailbox; anything a fault
+  // provokes across lanes rides the normal mailbox merge, so every shard
+  // count replays the identical sequence.
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    lanes_.push_back(std::make_unique<LaneState>(&engine.shard(l), lanes[l]));
   }
   arm();
 }
@@ -346,22 +348,10 @@ std::uint64_t ChaosController::faults_skipped() const {
   return n;
 }
 
-sim::SimEngine& ChaosController::lane_engine(std::size_t lane) {
-  return sharded_ != nullptr ? sharded_->shard(lane) : *engine_;
-}
-
 void ChaosController::schedule_on_lane(std::size_t lane, SimDuration delay,
                                        sim::SimEngine::Callback fn) {
   if (delay.is_negative()) delay = SimDuration::zero();
-  if (sharded_ != nullptr) {
-    // Same-lane post: the sharded engine's own scheduling path. Faults are
-    // lane-local (each lane owns its fabric); anything a fault provokes
-    // across lanes rides the normal mailbox merge, so every shard count
-    // replays the identical sequence.
-    sharded_->post(lane, lane, delay, std::move(fn));
-    return;
-  }
-  engine_->schedule_after(delay, std::move(fn));
+  lanes_[lane]->engine->schedule_after(delay, std::move(fn));
 }
 
 void ChaosController::arm() {
@@ -369,7 +359,7 @@ void ChaosController::arm() {
   plan_.sort();
   for (std::size_t idx = 0; idx < plan_.events.size(); ++idx) {
     for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-      const SimTime now = lane_engine(lane).now();
+      const SimTime now = lanes_[lane]->engine->now();
       const SimDuration delay = plan_.events[idx].at - now;
       schedule_on_lane(lane, delay, [this, idx, lane] { fire(idx, lane); });
     }
@@ -502,7 +492,7 @@ void ChaosController::apply(const FaultEvent& e, LaneState& lane, bool is_revert
       monitor::MonitoringService* mon = lane.targets.monitoring;
       bool any = false;
       for (int i = 0; mon != nullptr && i < e.count; ++i) {
-        any = mon->inject_sample(e.a, e.b, e.magnitude) || any;
+        any = mon->ingest_sample(e.a, e.b, e.magnitude) || any;
       }
       if (!any) {
         ++lane.skipped;

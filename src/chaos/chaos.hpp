@@ -19,7 +19,7 @@
 // set_link_chaos_latency / chaos_drop_pair_flows) and follow the
 // set_node_failed pattern: advance flows at old rates, mutate, abort
 // doomed flows in id order, re-settle incrementally. Estimator poisoning
-// goes through MonitoringService::inject_sample — the normal ingestion
+// goes through MonitoringService::ingest_sample — the normal ingestion
 // path, so history, sample hooks and the monotone sample epoch all advance
 // exactly as for a real probe.
 #pragma once
@@ -154,10 +154,10 @@ class ChaosController {
   ChaosController(sim::SimEngine& engine, ChaosTargets targets, FaultPlan plan,
                   bool enabled);
   /// Region-sharded world: one ChaosTargets per lane (lane_count entries).
-  /// Every event is posted to every lane that has a fabric, through the
-  /// sharded engine's own post path, at the same absolute sim time — each
-  /// lane mutates only its own fabric inside its own event context, so any
-  /// shard count replays the identical fault sequence.
+  /// Every event is scheduled on every lane's own engine (shard(l)) at the
+  /// same absolute sim time — each lane mutates only its own fabric inside
+  /// its own event context, so any shard count replays the identical fault
+  /// sequence.
   ChaosController(sim::ShardedSimEngine& engine, std::vector<ChaosTargets> lanes,
                   FaultPlan plan, bool enabled);
   ChaosController(const ChaosController&) = delete;
@@ -178,6 +178,9 @@ class ChaosController {
   // Lanes run concurrently inside a sharded window; counters are per-lane
   // and cache-line padded, summed only when quiescent.
   struct alignas(64) LaneState {
+    /// The event lane this state's faults run on: the plain engine, or the
+    /// sharded engine's shard(l).
+    sim::SimEngine* engine = nullptr;
     ChaosTargets targets;
     std::uint64_t applied = 0;
     std::uint64_t reverted = 0;
@@ -190,17 +193,14 @@ class ChaosController {
   void arm();
   void fire(std::size_t event_index, std::size_t lane);
   void apply(const FaultEvent& e, LaneState& lane, bool is_revert);
-  /// Schedule `fn` on `lane`'s engine after `delay` (plain or sharded).
+  /// Schedule `fn` on `lane`'s engine after `delay` (clamped at zero).
   void schedule_on_lane(std::size_t lane, SimDuration delay,
                         sim::SimEngine::Callback fn);
-  [[nodiscard]] sim::SimEngine& lane_engine(std::size_t lane);
 
   void apply_pair_scale(const FaultEvent& e, LaneState& lane, double scale);
   void apply_partition(const FaultEvent& e, LaneState& lane, bool cut);
   void apply_outage(const FaultEvent& e, LaneState& lane, bool fail);
 
-  sim::SimEngine* engine_ = nullptr;          // plain mode
-  sim::ShardedSimEngine* sharded_ = nullptr;  // sharded mode
   FaultPlan plan_;
   bool enabled_ = false;
   std::vector<std::unique_ptr<LaneState>> lanes_;

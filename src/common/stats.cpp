@@ -46,15 +46,6 @@ double OnlineStats::variance() const {
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
-void Ewma::add(double x) {
-  if (!seeded_) {
-    value_ = x;
-    seeded_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
-
 namespace {
 
 // A bounded set of spares per thread: big enough to cover the sink +
@@ -131,21 +122,6 @@ double SampleSet::quantile(double q) const {
 double SampleSet::ci95_half_width() const {
   if (xs_.size() < 2) return 0.0;
   return 1.96 * stddev() / std::sqrt(static_cast<double>(xs_.size()));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::int64_t>((x - lo_) / span * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
 }
 
 }  // namespace sage

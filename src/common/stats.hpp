@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace sage {
@@ -30,21 +29,6 @@ class OnlineStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Exponentially weighted moving average.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-
-  void add(double x);
-  [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] bool empty() const { return !seeded_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool seeded_ = false;
 };
 
 /// Exact sample container with quantiles; used by the experiment harness
@@ -101,24 +85,6 @@ class SampleSet {
   std::vector<double> xs_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range values clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace sage

@@ -19,11 +19,9 @@ SageEngine::SageEngine(cloud::CloudProvider& provider, SageConfig config)
   SAGE_CHECK(config_.helpers_per_region >= 0);
   SAGE_CHECK(config_.gateways_per_region >= 1);
   SAGE_CHECK(config_.replan_threshold >= 0.0);
-  // The engine's transfers obey the model's intrusiveness setting, and a
-  // shard lane's probes ride dedicated endpoints; keeping these knobs in
-  // sync is a class invariant, not a user obligation.
+  // The engine's transfers obey the model's intrusiveness setting; keeping
+  // the two in sync is a class invariant, not a user obligation.
   config_.transfer.intrusiveness = config_.model.intrusiveness;
-  config_.monitoring.isolated_probes = config_.shard_lane;
   planner_.set_obs(engine_.obs());
   if (obs::Observability* o = engine_.obs(); o != nullptr) {
     obs_replan_skipped_ = o->metrics().counter("sched.replan.skipped");
@@ -85,7 +83,7 @@ sched::Inventory SageEngine::inventory(cloud::Region src, cloud::Region dst) con
     // Shard-local lanes: interior regions read as empty, so the planner can
     // only widen the direct route with source-region scatter helpers —
     // every resulting flow stays on links the source's shard owns.
-    if (config_.shard_lane && r != src && r != dst) continue;
+    if (config_.monitoring.lane && r != src && r != dst) continue;
     inv[cloud::region_index(r)] = config_.helpers_per_region;
   }
   return inv;
@@ -166,7 +164,7 @@ void SageEngine::send_with(const model::Tradeoff& tradeoff, cloud::Region src,
 
   cloud::VmId src_gw;
   cloud::VmId dst_gw;
-  if (config_.shard_lane) {
+  if (config_.monitoring.lane) {
     // One fresh endpoint pair per send, released on completion: transfers
     // from differently-owned source regions never share a destination NIC,
     // so their rates are independent of how the regions are sharded.
@@ -187,7 +185,7 @@ void SageEngine::send_with(const model::Tradeoff& tradeoff, cloud::Region src,
   live->dst = dst;
   live->src_gw = src_gw;
   live->dst_gw = dst_gw;
-  live->owns_endpoints = config_.shard_lane;
+  live->owns_endpoints = config_.monitoring.lane.has_value();
   live->last_eval_epoch = matrix.epoch;
   std::vector<net::Lane> lanes = build_lanes(plan, src_gw, dst_gw, src);
   record.lanes_used = static_cast<int>(lanes.size());

@@ -55,6 +55,21 @@ struct SageConfig {
   model::ModelParams model;
   sched::PlannerParams planner;
   net::TransferConfig transfer;
+  /// Set `monitoring.lane` to make this engine one lane of a sharded
+  /// control plane (ShardedSage sets it; plain deployments leave it unset).
+  /// A lane keeps each transfer's traffic where only the source region's
+  /// shard can see it, so rates depend only on the owning lane's flow
+  /// population, invariant to the shard count:
+  ///   * lane topologies use VMs in the source (and destination endpoint)
+  ///     region only: the planner sees zero helper inventory in interior
+  ///     regions and emits direct-only plans, since relay routes would
+  ///     cross links another lane owns;
+  ///   * each send provisions a fresh pair of endpoint VMs (released on
+  ///     completion) instead of round-robining the shared gateway pool, so
+  ///     sends from differently-owned source regions never contend on a
+  ///     shared destination NIC;
+  ///   * probes run between per-pair dedicated endpoints
+  ///     (monitor::ShardLane).
   monitor::MonitorConfig monitoring;
 
   /// Default tradeoff applied by the TransferBackend interface.
@@ -70,22 +85,6 @@ struct SageConfig {
   /// A fresh plan must promise at least this relative throughput gain to
   /// displace the executing one (hysteresis against monitoring noise).
   double replan_threshold = 0.15;
-  /// This engine is one lane of a sharded control plane (ShardedSage sets
-  /// it; plain deployments leave it off). A lane keeps each transfer's
-  /// traffic where only the source region's shard can see it, so rates
-  /// depend only on the owning lane's flow population, invariant to the
-  /// shard count:
-  ///   * lane topologies use VMs in the source (and destination endpoint)
-  ///     region only: the planner sees zero helper inventory in interior
-  ///     regions and emits direct-only plans, since relay routes would
-  ///     cross links another lane owns;
-  ///   * each send provisions a fresh pair of endpoint VMs (released on
-  ///     completion) instead of round-robining the shared gateway pool, so
-  ///     sends from differently-owned source regions never contend on a
-  ///     shared destination NIC;
-  ///   * probes run between per-pair dedicated endpoints
-  ///     (`monitoring.isolated_probes` is derived from this flag).
-  bool shard_lane = false;
 };
 
 /// Everything SAGE decided and observed for one send.
@@ -193,8 +192,8 @@ class SageEngine final : public stream::TransferBackend {
     cloud::Region dst = cloud::Region::kNorthEU;
     cloud::VmId src_gw = 0;
     cloud::VmId dst_gw = 0;
-    /// Endpoints are per-send leases to release on completion
-    /// (config_.shard_lane only).
+    /// Endpoints are per-send leases to release on completion (shard lanes
+    /// only).
     bool owns_endpoints = false;
     /// Monitoring epoch at which this transfer's plan was last (re)evaluated;
     /// the sweep skips the transfer while the epoch stays put.

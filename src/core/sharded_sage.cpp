@@ -47,29 +47,24 @@ ShardedSage::ShardedSage(std::shared_ptr<const cloud::Topology> topology,
     // RNG streams are never read back.
     providers_.push_back(
         std::make_unique<cloud::CloudProvider>(engine_->shard(l), topology_, seed));
+    // Sample relay: fan each produced sample out to every remote lane at
+    // the same +D the producer applies locally. The mailbox merge orders
+    // same-time deliveries by (time, src shard, seq) — deterministic, and
+    // commutative for estimator state since distinct pairs own distinct
+    // estimators. The relay reads lanes_ only when a sample fires, after
+    // every lane exists.
     SageConfig lane_cfg = config;
-    lane_cfg.shard_lane = true;
-    lane_cfg.monitoring.report_delay = report_delay_;
-    lane_cfg.monitoring.probe_filter = [this, l](cloud::Region a, cloud::Region) {
-      return lane_of(a) == l;
-    };
-    lanes_.push_back(std::make_unique<SageEngine>(*providers_.back(), lane_cfg));
-  }
-
-  // Sample relay: fan each produced sample out to every remote lane at the
-  // same +D the producer applies locally. The mailbox merge orders same-time
-  // deliveries by (time, src shard, seq) — deterministic, and commutative
-  // for estimator state since distinct pairs own distinct estimators.
-  for (std::size_t l = 0; l < lanes; ++l) {
-    lanes_[l]->monitoring().set_report_relay(
+    lane_cfg.monitoring.lane = monitor::ShardLane{
+        [this, l](cloud::Region r) { return lane_of(r) == l; }, report_delay_,
         [this, l](cloud::Region src, cloud::Region dst, double mbps) {
           for (std::size_t m = 0; m < lanes_.size(); ++m) {
             if (m == l) continue;
             engine_->post(l, m, report_delay_, [this, m, src, dst, mbps] {
-              lanes_[m]->monitoring().deliver_sample(src, dst, mbps);
+              lanes_[m]->monitoring().ingest_sample(src, dst, mbps);
             });
           }
-        });
+        }};
+    lanes_.push_back(std::make_unique<SageEngine>(*providers_.back(), lane_cfg));
   }
 }
 
@@ -87,17 +82,6 @@ void ShardedSage::send(cloud::Region src, cloud::Region dst, Bytes size,
 
 void ShardedSage::run_for(SimDuration d) {
   engine_->run_until(engine_->now() + d);
-}
-
-bool ShardedSage::run_until_idle(SimDuration budget, SimDuration quantum) {
-  SAGE_CHECK(quantum > SimDuration::zero());
-  const SimTime deadline = engine_->now() + budget;
-  while (engine_->live_events() > 0) {
-    if (engine_->now() >= deadline) return false;
-    const SimTime next = std::min(engine_->now() + quantum, deadline);
-    engine_->run_until(next);
-  }
-  return true;
 }
 
 bool ShardedSage::epochs_consistent() const {

@@ -19,15 +19,16 @@
 //     epoch-keyed plan/resolve/snapshot caches stay value-identical across
 //     lanes without any cross-lane invalidation (the "epoch-merge rule" of
 //     DESIGN.md §16).
-//   - Each lane engine runs with SageConfig::shard_lane: transfers use
-//     shard-local lane topologies (direct routes widened with source-region
-//     scatter helpers) and ephemeral per-send endpoint VMs, and probes use
-//     dedicated per-pair endpoints, so every flow a lane starts crosses
-//     only links its shard owns and never contends on a NIC with another
-//     lane's flows. Combined with a *stable* (noise-free) topology, flow
-//     rates — and thus every control decision — are invariant to the shard
-//     count: S ∈ {1,2,4,...} produce byte-identical scenario output, and
-//     S=1 collapses to one plain lane.
+//   - Each lane engine's MonitorConfig carries a monitor::ShardLane (the
+//     owned-region test, D and the relay), the one switch every lane rule
+//     keys on: transfers use shard-local lane topologies (direct routes
+//     widened with source-region scatter helpers) and ephemeral per-send
+//     endpoint VMs, and probes use dedicated per-pair endpoints, so every
+//     flow a lane starts crosses only links its shard owns and never
+//     contends on a NIC with another lane's flows. Combined with a *stable*
+//     (noise-free) topology, flow rates — and thus every control decision —
+//     are invariant to the shard count: S ∈ {1,2,4,...} produce
+//     byte-identical scenario output, and S=1 collapses to one plain lane.
 //
 // What changes with S is only the wall clock: each lane's fabric holds just
 // its owned flows, so the fabric-wide max-min settlement sweeps (the
@@ -77,11 +78,6 @@ class ShardedSage {
 
   /// Advance every lane by `d` (lock-step windows of the lookahead).
   void run_for(SimDuration d);
-  /// Advance in `quantum` steps until the whole world is idle (no pending
-  /// events or mailbox posts) or `budget` sim time has elapsed. Quantized so
-  /// the stopping time is a deterministic function of sim state, never of
-  /// lane interleaving. Returns true when idle was reached.
-  bool run_until_idle(SimDuration budget, SimDuration quantum);
 
   [[nodiscard]] sim::ShardedSimEngine& engine() { return *engine_; }
   [[nodiscard]] const cloud::ShardPlan& plan() const { return plan_; }

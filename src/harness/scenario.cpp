@@ -91,16 +91,6 @@ int env_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int env_shards() {
-  if (const char* env = std::getenv("SAGE_PAR_SHARDS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 0 && v <= 1024) return static_cast<int>(v);
-    std::fprintf(stderr, "harness: ignoring invalid SAGE_PAR_SHARDS=%s\n", env);
-  }
-  return 0;  // default: sharded execution off
-}
-
 ScenarioRunner::ScenarioRunner(int threads) : threads_(threads < 1 ? 1 : threads) {
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads_));
 }

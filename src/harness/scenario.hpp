@@ -44,13 +44,6 @@ namespace sage::harness {
 /// positive integer, otherwise std::thread::hardware_concurrency().
 int env_threads();
 
-/// Intra-scenario shard count for the region-sharded engine:
-/// SAGE_PAR_SHARDS when set to a positive integer, otherwise 0 (sharded
-/// execution off — every existing figure bench runs the plain engine and
-/// stays byte-identical). Benches also accept --shards, which wins over
-/// the environment (see bench_util.hpp).
-int env_shards();
-
 /// Registry collecting observability metrics for the grid point currently
 /// executing on this thread, or null outside a sweep task. Worlds merge
 /// their per-engine registries into it at teardown; the snapshot lands in
@@ -172,7 +165,7 @@ class ScenarioRunner {
 
   /// Default shard count recorded per task in json() for tasks that never
   /// called report_task_shards (0 = plain engine; the BenchContext sets
-  /// this from --shards / SAGE_PAR_SHARDS).
+  /// this from --shards).
   void set_shards(int shards) { shards_ = shards; }
   [[nodiscard]] int shards() const { return shards_; }
 

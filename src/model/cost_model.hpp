@@ -62,7 +62,6 @@ class CostModel {
   CostModel(cloud::PricingModel pricing, ModelParams params);
 
   [[nodiscard]] const ModelParams& params() const { return params_; }
-  void set_params(ModelParams params) { params_ = params; }
 
   /// Parallel speedup factor 1 + (n−1)·gain.
   [[nodiscard]] double speedup(int nodes) const;

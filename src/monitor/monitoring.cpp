@@ -8,6 +8,13 @@
 
 namespace sage::monitor {
 
+namespace {
+
+/// NIC rate of a shard lane's dedicated probe endpoints.
+constexpr ByteRate kProbeNic = ByteRate::mb_per_sec(125.0);
+
+}  // namespace
+
 const LinkEstimate& ThroughputMatrix::at(cloud::Region src, cloud::Region dst) const {
   static const LinkEstimate kAbsent{};
   const std::size_t s = cloud::region_index(src);
@@ -56,6 +63,12 @@ MonitoringService::MonitoringService(cloud::CloudProvider& provider, MonitorConf
   cpu_.resize(region_count_);
   pair_slot_.assign(region_count_ * region_count_, -1);
   cached_.ensure_regions(region_count_);
+  if (config_.lane) {
+    SAGE_CHECK_MSG(config_.lane->owns && config_.lane->relay,
+                   "a shard lane needs an ownership test and a relay");
+    SAGE_CHECK_MSG(config_.lane->report_delay > SimDuration::zero(),
+                   "a shard lane needs a positive report delay");
+  }
   if (obs::Observability* o = engine_.obs()) {
     obs_rebuilt_ = o->metrics().counter("monitor.snapshot.rebuilt");
     obs_cached_ = o->metrics().counter("monitor.snapshot.cached");
@@ -93,15 +106,12 @@ void MonitoringService::maybe_create_pairs() {
     // Sharded lanes probe only the pairs they own; the monitor itself is
     // created unconditionally so links_ (stagger order, matrix shape) is
     // identical on every lane.
-    if (!config_.probe_filter || config_.probe_filter(a, b)) {
+    if (!config_.lane || config_.lane->owns(a)) {
       link->task = std::make_unique<sim::PeriodicTask>(
           engine_, config_.probe_interval, [this, raw] { probe_link(*raw); });
-      if (config_.isolated_probes) {
-        link->probe_src_node =
-            provider_.fabric().add_node(a, config_.probe_nic, config_.probe_nic);
-        link->probe_dst_node =
-            provider_.fabric().add_node(b, config_.probe_nic, config_.probe_nic);
-        link->probe_nodes_ready = true;
+      if (config_.lane) {
+        link->probe_src_node = provider_.fabric().add_node(a, kProbeNic, kProbeNic);
+        link->probe_dst_node = provider_.fabric().add_node(b, kProbeNic, kProbeNic);
       }
     }
     pair_slot_[pair_index(a, b)] = static_cast<std::int32_t>(links_.size());
@@ -180,7 +190,7 @@ void MonitoringService::probe_link(LinkMonitor& link) {
     if (!r.ok()) return;
     accept_sample(*raw, r.achieved_rate().to_mb_per_sec());
   };
-  if (link.probe_nodes_ready) {
+  if (config_.lane) {
     // Dedicated endpoints: the probe exercises the same WAN pair link but
     // never shares a NIC with another pair's probe or with agent traffic.
     provider_.fabric().start_flow(link.probe_src_node, link.probe_dst_node,
@@ -193,18 +203,18 @@ void MonitoringService::probe_link(LinkMonitor& link) {
 }
 
 void MonitoringService::accept_sample(LinkMonitor& link, double mbps) {
-  if (config_.report_delay <= SimDuration::zero()) {
+  if (!config_.lane) {
     ingest(link, mbps);
     return;
   }
   // Production-time relay: remote lanes receive (src, dst, mbps) through
-  // the cross-shard mailboxes and deliver at +report_delay; the local lane
+  // the cross-shard mailboxes and ingest at +report_delay; the local lane
   // defers its own ingestion by the same delay so every lane's estimator
   // advances at the same absolute sim time.
-  if (relay_) relay_(link.src, link.dst, mbps);
+  config_.lane->relay(link.src, link.dst, mbps);
   auto alive = alive_;
   LinkMonitor* raw = &link;
-  engine_.schedule_after(config_.report_delay, [this, alive, raw, mbps] {
+  engine_.schedule_after(config_.lane->report_delay, [this, alive, raw, mbps] {
     if (*alive) ingest(*raw, mbps);
   });
 }
@@ -256,15 +266,7 @@ void MonitoringService::report_transfer_observation(cloud::Region src, cloud::Re
   }
 }
 
-bool MonitoringService::deliver_sample(cloud::Region src, cloud::Region dst,
-                                       double mbps) {
-  LinkMonitor* link = find_link(src, dst);
-  if (link == nullptr) return false;
-  ingest(*link, mbps);
-  return true;
-}
-
-bool MonitoringService::inject_sample(cloud::Region src, cloud::Region dst, double mbps) {
+bool MonitoringService::ingest_sample(cloud::Region src, cloud::Region dst, double mbps) {
   LinkMonitor* link = find_link(src, dst);
   if (link == nullptr) return false;
   ingest(*link, mbps);

@@ -98,6 +98,30 @@ struct Sample {
   double mbps = 0.0;
 };
 
+/// Makes a MonitoringService one lane of a sharded control plane
+/// (core::ShardedSage sets one per lane; plain services leave
+/// MonitorConfig::lane unset). On a lane:
+///   * only pairs whose source region the lane owns are probed. Monitors
+///     exist for every declared pair, so stagger order and matrix shape are
+///     lane-invariant; a remote-owned pair is fed only by ingest_sample();
+///   * probes run between per-pair dedicated fabric endpoints, never the
+///     shared agent VMs: pair ownership moves probes between lanes, and
+///     shared-NIC contention would make measured rates depend on co-located
+///     pairs. The endpoints are plain fabric nodes (no provider RNG);
+///   * each locally produced sample (probe result or transfer observation)
+///     fires `relay` at production time and is ingested `report_delay`
+///     later, so every lane ingests it at the same absolute sim time.
+struct ShardLane {
+  /// True for the source regions whose pairs this lane probes.
+  std::function<bool(cloud::Region)> owns;
+  /// Must be > 0. ShardedSage uses the topology's max one-way latency,
+  /// which is >= the conservative lookahead at any shard count.
+  SimDuration report_delay;
+  /// Called with (src, dst, MB/s); ShardedSage forwards the sample to every
+  /// remote lane with the same delay.
+  std::function<void(cloud::Region, cloud::Region, double)> relay;
+};
+
 struct MonitorConfig {
   EstimatorKind kind = EstimatorKind::kWeighted;
   EstimatorConfig estimator;
@@ -113,30 +137,8 @@ struct MonitorConfig {
   /// logs" scientists use to understand their cloud application and the
   /// base of the self-healing loop). 0 disables history.
   std::size_t history_capacity = 2048;
-  /// Pair-level probe ownership filter for sharded control planes: when
-  /// set, only pairs the filter accepts run an active probe task on this
-  /// service. Monitors still exist for every declared pair — the stagger
-  /// index, matrix shape and remote sample delivery stay lane-invariant —
-  /// but filtered pairs are fed exclusively by deliver_sample().
-  std::function<bool(cloud::Region, cloud::Region)> probe_filter;
-  /// Uniform sample report delay. When positive, every locally produced
-  /// sample (probe result or transfer observation) is ingested at
-  /// production time + report_delay instead of immediately, and the report
-  /// relay (set_report_relay) fires at production time. Sharded control
-  /// planes set this to the topology's max one-way latency (>= the
-  /// conservative lookahead for any shard count) so the producing lane and
-  /// every remote lane ingest each sample at the same absolute sim time.
-  SimDuration report_delay = SimDuration::zero();
-  /// Probe traffic runs between per-pair dedicated fabric endpoints
-  /// instead of the shared agent VMs, so concurrent probes of different
-  /// pairs never contend on an agent NIC. Required for shard-count
-  /// invariance (pair ownership moves probes between lanes; shared-NIC
-  /// contention would make measured rates depend on co-located pairs).
-  /// The endpoints are plain fabric nodes — no provider RNG is consumed.
-  /// SageEngine derives it from SageConfig::shard_lane.
-  bool isolated_probes = false;
-  /// NIC rate of the dedicated probe endpoints (isolated_probes only).
-  ByteRate probe_nic = ByteRate::mb_per_sec(125.0);
+  /// Set on each lane of a sharded control plane; unset = plain service.
+  std::optional<ShardLane> lane;
 };
 
 class MonitoringService {
@@ -164,27 +166,14 @@ class MonitoringService {
   void report_transfer_observation(cloud::Region src, cloud::Region dst,
                                    ByteRate per_flow);
 
-  /// Fault-injection path (chaos layer): force a raw sample of `mbps` into
-  /// the pair's estimator through the normal ingestion pipeline — history,
-  /// sample hook and the monotone sample epoch all advance exactly as for a
-  /// real probe, so poisoned maps stay internally consistent. Returns false
-  /// (and does nothing) when the pair is unmonitored. Always immediate
-  /// (never report-delayed): the sharded chaos controller replicates the
-  /// poison event to every lane at the same absolute time itself.
-  bool inject_sample(cloud::Region src, cloud::Region dst, double mbps);
-
-  /// Relay hook fired at sample *production* time when report_delay > 0:
-  /// (src, dst, MB/s). Sharded control planes forward the sample to every
-  /// remote lane through the cross-shard mailboxes with the same delay, so
-  /// all lanes ingest it at the same absolute time as the producing lane's
-  /// own delayed ingestion.
-  using ReportRelay = std::function<void(cloud::Region, cloud::Region, double)>;
-  void set_report_relay(ReportRelay relay) { relay_ = std::move(relay); }
-
-  /// Remote-lane delivery path: ingest a relayed sample into the pair's
-  /// estimator *now* (the relay transport already applied the report
-  /// delay). Returns false when the pair is unmonitored.
-  bool deliver_sample(cloud::Region src, cloud::Region dst, double mbps);
+  /// Ingest a raw sample of `mbps` into the pair's estimator now, through
+  /// the normal pipeline: history, sample hook and the monotone sample epoch
+  /// all advance exactly as for a real probe. Returns false (and does
+  /// nothing) when the pair is unmonitored. Never report-delayed: a shard
+  /// lane's remote samples arrive through the sharded relay, which already
+  /// applied the delay, and the chaos layer's estimator poisoning replicates
+  /// each event to every lane at the same absolute time itself.
+  bool ingest_sample(cloud::Region src, cloud::Region dst, double mbps);
 
   [[nodiscard]] LinkEstimate estimate(cloud::Region src, cloud::Region dst) const;
 
@@ -233,15 +222,14 @@ class MonitoringService {
     cloud::Region src;
     cloud::Region dst;
     std::unique_ptr<Estimator> estimator;
-    /// Null when config_.probe_filter rejected the pair (remote-owned on a
-    /// sharded lane): the monitor then only receives delivered samples.
+    /// Null when a shard lane does not own the pair's source region: the
+    /// monitor then only receives relayed samples.
     std::unique_ptr<sim::PeriodicTask> task;
     std::deque<Sample> history;
     bool probe_in_flight = false;
     /// Saw a sample since the cached snapshot last re-queried this link.
     bool dirty = true;
-    /// Dedicated probe endpoints (isolated_probes only).
-    bool probe_nodes_ready = false;
+    /// Dedicated probe endpoints (probed pairs on a shard lane only).
     cloud::NodeId probe_src_node = 0;
     cloud::NodeId probe_dst_node = 0;
   };
@@ -252,9 +240,9 @@ class MonitoringService {
   /// Common ingestion for probe results and transfer observations: feeds
   /// the estimator, the history ring, the epoch and the sample hook.
   void ingest(LinkMonitor& link, double mbps);
-  /// Routes a freshly produced sample: immediate ingestion in the legacy
-  /// configuration; with report_delay set, fires the relay at production
-  /// time and schedules the local ingestion at +report_delay.
+  /// Routes a freshly produced sample: immediate ingestion on a plain
+  /// service; on a shard lane, fires the relay at production time and
+  /// schedules the local ingestion at +report_delay.
   void accept_sample(LinkMonitor& link, double mbps);
 
   [[nodiscard]] std::size_t pair_index(cloud::Region src, cloud::Region dst) const {
@@ -280,7 +268,6 @@ class MonitoringService {
   std::vector<std::unique_ptr<Estimator>> cpu_;  // sized region_count_
   std::vector<std::unique_ptr<sim::PeriodicTask>> cpu_tasks_;
   SampleHook hook_;
-  ReportRelay relay_;
   bool running_ = false;
   std::uint64_t probes_sent_ = 0;
   std::uint64_t probes_suspended_ = 0;

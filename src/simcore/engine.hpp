@@ -202,7 +202,6 @@ class PeriodicTask {
   void start();
   void stop();
   [[nodiscard]] bool running() const { return running_; }
-  void set_interval(SimDuration interval) { interval_ = interval; }
   [[nodiscard]] SimDuration interval() const { return interval_; }
 
  private:

@@ -1,6 +1,8 @@
 #include "stream/graph.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/check.hpp"
 
@@ -126,6 +128,10 @@ std::size_t JobGraph::fuse_stateless_chains() {
 
 void JobGraph::validate() const {
   SAGE_CHECK_MSG(!vertices_.empty(), "empty job graph");
+  std::unordered_set<std::string_view> names;
+  for (const Vertex& v : vertices_) {
+    SAGE_CHECK_MSG(names.insert(v.name).second, "duplicate vertex name " + v.name);
+  }
   for (const Edge& e : edges_) {
     SAGE_CHECK(e.from < vertices_.size() && e.to < vertices_.size());
     SAGE_CHECK_MSG(vertices_[e.from].kind != VertexKind::kSink, "sinks have no outputs");

@@ -72,7 +72,9 @@ class JobGraph {
   [[nodiscard]] std::vector<Edge> wan_edges() const;
 
   /// Throws CheckFailure on malformed graphs: cycles, dangling ids, sinks
-  /// with outputs, sources with inputs, or a port-1 edge into a non-join.
+  /// with outputs, sources with inputs, a port-1 edge into a non-join, or
+  /// two vertices sharing a name (the runtime's per-vertex and per-edge obs
+  /// cells key on the name).
   void validate() const;
 
   /// Collapse linear runs of same-site stateless chains (every map and

@@ -11,9 +11,8 @@
 // 32-byte structs. Stages that touch a single field — value maps, key
 // filters, the sink's latency loop — walk one dense 8-byte column, which
 // vectorizes and quarters the memory traffic. `Record` remains the
-// record-at-a-time interchange type: `row(i)` gathers one, `add` scatters
-// one, and `rows()` iterates the batch as materialized records so
-// row-oriented operators and tests keep working unchanged in spirit.
+// record-at-a-time interchange type: `row(i)` gathers one, `set_row`
+// scatters one in place, and `add` appends one.
 #pragma once
 
 #include <cstddef>
@@ -133,59 +132,6 @@ class RecordBatch {
     value_.resize(n);
     wire_.resize(n);
   }
-
-  /// Lightweight row proxy: reference-semantics view of one row that
-  /// converts to (and assigns from) a materialized Record.
-  class RowRef {
-   public:
-    RowRef(RecordBatch& b, std::size_t i) : b_(&b), i_(i) {}
-    operator Record() const { return b_->row(i_); }  // NOLINT(google-explicit-constructor)
-    RowRef& operator=(const Record& r) {
-      b_->set_row(i_, r);
-      return *this;
-    }
-    [[nodiscard]] SimTime event_time() const { return b_->event_time_[i_]; }
-    [[nodiscard]] std::uint64_t key() const { return b_->key_[i_]; }
-    [[nodiscard]] double value() const { return b_->value_[i_]; }
-    [[nodiscard]] Bytes wire_size() const { return b_->wire_[i_]; }
-
-   private:
-    RecordBatch* b_;
-    std::size_t i_;
-  };
-
-  /// Const forward iterator over materialized rows; `for (Record r :
-  /// batch.rows())` (or `const Record&` — the temporary's lifetime extends)
-  /// keeps row-oriented loops compiling against the columnar layout.
-  class ConstRowIterator {
-   public:
-    ConstRowIterator(const RecordBatch& b, std::size_t i) : b_(&b), i_(i) {}
-    [[nodiscard]] Record operator*() const { return b_->row(i_); }
-    ConstRowIterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    [[nodiscard]] bool operator!=(const ConstRowIterator& o) const { return i_ != o.i_; }
-
-   private:
-    const RecordBatch* b_;
-    std::size_t i_;
-  };
-
-  class RowsView {
-   public:
-    explicit RowsView(const RecordBatch& b) : b_(&b) {}
-    [[nodiscard]] ConstRowIterator begin() const { return {*b_, 0}; }
-    [[nodiscard]] ConstRowIterator end() const { return {*b_, b_->size()}; }
-    [[nodiscard]] Record operator[](std::size_t i) const { return b_->row(i); }
-    [[nodiscard]] std::size_t size() const { return b_->size(); }
-
-   private:
-    const RecordBatch* b_;
-  };
-
-  [[nodiscard]] RowsView rows() const { return RowsView(*this); }
-  [[nodiscard]] RowRef row_ref(std::size_t i) { return RowRef(*this, i); }
 
  private:
   std::vector<SimTime> event_time_;

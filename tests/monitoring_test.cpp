@@ -6,9 +6,12 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "test_util.hpp"
 
@@ -261,6 +264,140 @@ TEST_F(MonitoringFixture, CachedSnapshotsMatchOracleEstimatorsExactly) {
   EXPECT_GT(service->snapshots_rebuilt(), 0u);
   EXPECT_GT(service->snapshots_cached(), 0u);
   EXPECT_GT(service->probes_sent(), 0u);
+}
+
+// -- Shard lanes ---------------------------------------------------------------
+// One plain engine running a MonitoringService configured as the lane that
+// owns NEU: the lane rules are checked here directly, apart from the
+// end-to-end digests of sharded_scenario_test.
+
+struct LaneFixture : public MonitoringFixture {
+  struct Seen {
+    Region src;
+    Region dst;
+    SimTime at;
+    double mbps;
+  };
+  static constexpr SimDuration kDelay = SimDuration::seconds(30);
+  std::vector<Seen> relayed;
+
+  ShardLane neu_lane() {
+    return ShardLane{[](Region r) { return r == kNEU; }, kDelay,
+                     [this](Region src, Region dst, double mbps) {
+                       relayed.push_back({src, dst, world.engine.now(), mbps});
+                     }};
+  }
+
+  /// Stop probing and let in-flight probes and delayed ingests land.
+  void drain(MonitoringService& service) {
+    service.stop();
+    world.engine.run_until(world.engine.now() + SimDuration::minutes(5));
+  }
+};
+
+TEST_F(LaneFixture, ProbesOnlyPairsWhoseSourceItOwns) {
+  config.probe_interval = SimDuration::minutes(1);
+  config.lane = neu_lane();
+  auto service = make({kNEU, kNUS, kWEU});
+  service->start();
+  world.engine.run_until(world.engine.now() + SimDuration::minutes(20));
+  drain(*service);
+
+  ASSERT_FALSE(relayed.empty());
+  std::set<std::pair<Region, Region>> pairs;
+  for (const Seen& r : relayed) pairs.emplace(r.src, r.dst);
+  EXPECT_EQ(pairs, (std::set<std::pair<Region, Region>>{{kNEU, kNUS}, {kNEU, kWEU}}));
+  // Every probe sent produced exactly one relayed sample, so no pair with a
+  // remote-owned source was probed.
+  EXPECT_EQ(service->probes_sent(), relayed.size());
+  EXPECT_TRUE(service->estimate(kNEU, kNUS).ready());
+  EXPECT_FALSE(service->estimate(kNUS, kNEU).ready());
+  EXPECT_FALSE(service->estimate(kWEU, kNUS).ready());
+}
+
+TEST_F(LaneFixture, IngestsEachSampleReportDelayAfterItsRelay) {
+  config.probe_interval = SimDuration::minutes(1);
+  config.lane = neu_lane();
+  auto service = make({kNEU, kNUS});
+  std::vector<Seen> hooked;
+  service->set_sample_hook([&](Region src, Region dst, SimTime at, double mbps) {
+    hooked.push_back({src, dst, at, mbps});
+  });
+  service->start();
+
+  // Stop on the event that produced the first sample: the relay fired, but
+  // nothing is ingested until exactly kDelay later.
+  ASSERT_TRUE(sage::testing::run_until(world.engine, [&] { return !relayed.empty(); }));
+  const SimTime t0 = relayed.front().at;
+  EXPECT_EQ(world.engine.now(), t0);
+  EXPECT_EQ(service->sample_epoch(), 0u);
+  world.engine.run_until(t0 + kDelay - SimDuration::micros(1));
+  EXPECT_EQ(service->sample_epoch(), 0u);
+  EXPECT_TRUE(hooked.empty());
+  world.engine.run_until(t0 + kDelay);
+  EXPECT_GE(service->sample_epoch(), 1u);
+  ASSERT_FALSE(hooked.empty());
+  EXPECT_EQ(hooked.front().at, t0 + kDelay);
+
+  world.engine.run_until(world.engine.now() + SimDuration::minutes(20));
+  drain(*service);
+  // Every relayed sample is ingested once, in production order, with its
+  // value, exactly kDelay after its relay fired.
+  ASSERT_EQ(hooked.size(), relayed.size());
+  EXPECT_EQ(service->sample_epoch(), relayed.size());
+  for (std::size_t i = 0; i < relayed.size(); ++i) {
+    EXPECT_EQ(hooked[i].src, relayed[i].src);
+    EXPECT_EQ(hooked[i].dst, relayed[i].dst);
+    EXPECT_EQ(hooked[i].at, relayed[i].at + kDelay);
+    EXPECT_EQ(hooked[i].mbps, relayed[i].mbps);
+  }
+}
+
+TEST_F(LaneFixture, IngestSampleIsImmediateAndNeverRelays) {
+  config.lane = neu_lane();
+  auto service = make({kNEU, kNUS});
+  std::vector<Seen> hooked;
+  service->set_sample_hook([&](Region src, Region dst, SimTime at, double mbps) {
+    hooked.push_back({src, dst, at, mbps});
+  });
+  world.engine.run_until(world.engine.now() + SimDuration::seconds(10));
+
+  // A sample relayed from the lane that owns NUS.
+  EXPECT_TRUE(service->ingest_sample(kNUS, kNEU, 123.0));
+  EXPECT_EQ(service->sample_epoch(), 1u);
+  ASSERT_EQ(hooked.size(), 1u);
+  EXPECT_EQ(hooked.front().at, world.engine.now());
+  const LinkEstimate est = service->estimate(kNUS, kNEU);
+  EXPECT_EQ(est.samples, 1u);
+  EXPECT_NEAR(est.mean_mbps, 123.0, 1e-9);
+  EXPECT_TRUE(relayed.empty());
+
+  // Unmonitored pairs: the diagonal, and a region without an agent.
+  EXPECT_FALSE(service->ingest_sample(kNEU, kNEU, 50.0));
+  EXPECT_FALSE(service->ingest_sample(kNEU, kWEU, 50.0));
+  EXPECT_EQ(service->sample_epoch(), 1u);
+  EXPECT_EQ(hooked.size(), 1u);
+}
+
+TEST_F(LaneFixture, ConstructorChecksTheLane) {
+  const auto build = [&](ShardLane lane) {
+    MonitorConfig c;
+    c.lane = std::move(lane);
+    MonitoringService service(*world.provider, c);
+  };
+  EXPECT_NO_THROW(build(neu_lane()));
+
+  ShardLane no_relay = neu_lane();
+  no_relay.relay = nullptr;
+  EXPECT_THROW(build(no_relay), CheckFailure);
+  ShardLane no_owner = neu_lane();
+  no_owner.owns = nullptr;
+  EXPECT_THROW(build(no_owner), CheckFailure);
+  for (SimDuration d : {SimDuration::zero(), SimDuration::seconds(-1)}) {
+    ShardLane lane = neu_lane();
+    lane.report_delay = d;
+    EXPECT_THROW(build(lane), CheckFailure);
+  }
 }
 
 }  // namespace

@@ -180,15 +180,6 @@ TEST(OnlineStatsTest, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(EwmaTest, SeedsWithFirstAndTracks) {
-  Ewma e(0.5);
-  EXPECT_TRUE(e.empty());
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-  e.add(20.0);
-  EXPECT_DOUBLE_EQ(e.value(), 15.0);
-}
-
 TEST(SampleSetTest, QuantilesInterpolate) {
   SampleSet s;
   for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
@@ -205,18 +196,6 @@ TEST(SampleSetTest, Ci95ShrinksWithSamples) {
   for (int i = 0; i < 10; ++i) small.add(rng.normal(0, 1));
   for (int i = 0; i < 1000; ++i) large.add(rng.normal(0, 1));
   EXPECT_GT(small.ci95_half_width(), large.ci95_half_width());
-}
-
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 9
-  h.add(-5.0);  // clamps to bin 0
-  h.add(50.0);  // clamps to bin 9
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
 }
 
 }  // namespace

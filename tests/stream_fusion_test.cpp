@@ -262,7 +262,8 @@ TEST(FusionEquivalenceTest, FusedRunsAreDeterministic) {
 // a time through its record-level map / filter.
 RecordBatch row_at_a_time(const StatelessStage& s, const RecordBatch& in) {
   RecordBatch out;
-  for (const Record r : in.rows()) {
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const Record r = in.row(i);
     if (s.map) {
       out.add(s.map(r));
     } else if (s.filter(r)) {

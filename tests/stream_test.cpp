@@ -87,7 +87,8 @@ TEST(WindowAggregateTest, EmitsPerKeyAggregatesOnTimer) {
   ASSERT_EQ(out.size(), 2u);
   double sum1 = 0.0;
   double sum2 = 0.0;
-  for (const Record& r : out.rows()) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const Record r = out.row(i);
     if (r.key == 1) sum1 = r.value;
     if (r.key == 2) sum2 = r.value;
   }
@@ -333,6 +334,22 @@ TEST(JobGraphTest, ValidateRejectsPortOneOnNonJoin) {
   }));
   g.connect(s, op, /*port=*/1);
   EXPECT_THROW(g.validate(), CheckFailure);
+}
+
+TEST(JobGraphTest, ValidateRejectsDuplicateNames) {
+  // Per-vertex and per-edge obs cells key on the vertex name, so two
+  // vertices sharing one would sum into a single cell.
+  const auto two_sources = [](const std::string& second) {
+    JobGraph g;
+    const auto s1 = g.add_source("events", kNEU, SourceSpec{});
+    const auto s2 = g.add_source(second, kNUS, SourceSpec{});
+    const auto sink = g.add_sink("k", kNEU);
+    g.connect(s1, sink);
+    g.connect(s2, sink);
+    return g;
+  };
+  EXPECT_THROW(two_sources("events").validate(), CheckFailure);
+  EXPECT_NO_THROW(two_sources("events@NUS").validate());
 }
 
 TEST(JobGraphTest, PortOneValidOnJoin) {

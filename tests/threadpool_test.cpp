@@ -225,15 +225,5 @@ TEST(ScenarioRunner, EnvThreadsParsesOverride) {
   EXPECT_GE(harness::env_threads(), 1);
 }
 
-TEST(ScenarioRunner, EnvShardsDefaultsToOff) {
-  ASSERT_EQ(unsetenv("SAGE_PAR_SHARDS"), 0);
-  EXPECT_EQ(harness::env_shards(), 0) << "sharded execution must be opt-in";
-  ASSERT_EQ(setenv("SAGE_PAR_SHARDS", "4", 1), 0);
-  EXPECT_EQ(harness::env_shards(), 4);
-  ASSERT_EQ(setenv("SAGE_PAR_SHARDS", "bogus", 1), 0);
-  EXPECT_EQ(harness::env_shards(), 0);  // invalid values fall back to off
-  ASSERT_EQ(unsetenv("SAGE_PAR_SHARDS"), 0);
-}
-
 }  // namespace
 }  // namespace sage
