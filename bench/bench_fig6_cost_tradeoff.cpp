@@ -97,7 +97,7 @@ ShardedOutcome run_one_sharded(const ShardedCell& c, int shards) {
   r.chunks = static_cast<std::uint64_t>(rec.stats.chunks_delivered);
   r.epochs_ok = sage->epochs_consistent();
   harness::report_task_records(r.chunks);
-  harness::report_task_shards(shards);
+  harness::report_task_shards(static_cast<int>(sage->plan().shards));
   return r;
 }
 

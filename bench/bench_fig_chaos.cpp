@@ -412,6 +412,7 @@ SoakResult run_soak(const SoakCell& c, SimDuration horizon) {
   if (!inv.ok()) out.first_violation = inv.violations().front();
   out.faults = chaos.faults_applied() / engine.lane_count();
   out.reverts = chaos.reverts_applied() / engine.lane_count();
+  harness::report_task_shards(static_cast<int>(plan.shards));
   return out;
 }
 
@@ -627,7 +628,7 @@ PlaneResult run_plane(const PlaneCell& c, int sends, int payload_mb,
   out.reverts = chaos.reverts_applied() / sage->lane_count();
   out.epochs_ok = sage->epochs_consistent();
   harness::report_task_records(out.chunks);
-  harness::report_task_shards(static_cast<int>(c.shards));
+  harness::report_task_shards(static_cast<int>(sage->plan().shards));
   return out;
 }
 

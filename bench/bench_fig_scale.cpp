@@ -189,6 +189,7 @@ ShardResult run_one_sharded(const Cell& c, int shards) {
     out.relays += t.relays;
     out.delivered += t.delivered;
   }
+  harness::report_task_shards(static_cast<int>(plan.shards));
   return out;
 }
 

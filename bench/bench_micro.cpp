@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): hot-path costs of the building
-// blocks — estimator updates, event-queue throughput, water-filling
-// settlement, widest-path queries, planner runs. These bound the control
-// plane's overhead: a monitoring update must be orders of magnitude cheaper
-// than the transfers it steers.
+// blocks — estimator updates, event-queue throughput, shard windows,
+// water-filling settlement, widest-path queries, planner runs. These bound
+// the control plane's overhead: a monitoring update must be orders of
+// magnitude cheaper than the transfers it steers.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "monitor/monitoring.hpp"
 #include "sched/multipath.hpp"
 #include "simcore/engine.hpp"
+#include "simcore/sharded_engine.hpp"
 #include "stream/graph.hpp"
 #include "stream/operator.hpp"
 #include "stream/runtime.hpp"
@@ -102,6 +103,30 @@ void BM_EventQueue_Reschedule(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueue_Reschedule)->Arg(64)->Arg(1024);
+
+void BM_ShardedWindow(benchmark::State& state) {
+  // Fixed cost of one lock-step window: 4 lanes fire one event each per
+  // window, driven by Arg threads (1 = inline on the caller). Each lane's
+  // tick re-arms one window ahead, so every iteration runs exactly one
+  // window with one event per lane.
+  constexpr std::size_t kLanes = 4;
+  const SimDuration window = SimDuration::millis(1);
+  sim::ShardedSimEngine engine(sim::ShardedSimEngine::Options{
+      kLanes, window, true, static_cast<std::size_t>(state.range(0))});
+  struct Tick {
+    sim::SimEngine* lane;
+    SimDuration period;
+    void operator()() const { lane->schedule_after(period, *this); }
+  };
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    engine.shard(l).schedule_after(window / 2, Tick{&engine.shard(l), window});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run_until(engine.now() + window));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShardedWindow)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_Settle(benchmark::State& state) {
   // All flows contend on one region-pair link: every refresh tick re-runs

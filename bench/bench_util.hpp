@@ -7,7 +7,7 @@
 // EXPERIMENTS.md records the expected *shapes* and the measured outcomes.
 //
 // Sweep-heavy benches run their grid points through BenchContext::sweep —
-// each point gets its own World on a ScenarioRunner pool thread
+// each point gets its own World on a ScenarioRunner sweep thread
 // (SAGE_BENCH_THREADS, default hardware concurrency) and results come back
 // index-ordered, so stdout is byte-identical at any thread count. All
 // printing happens on the main thread, after the sweep.
@@ -280,10 +280,6 @@ class BenchContext {
       }
     }
     if (shards_ < 0) shards_ = 0;
-    // Default `shards` attribution for every --json task record; sharded
-    // sweeps that mix shard counts override per task via
-    // harness::report_task_shards.
-    runner_.set_shards(shards());
     print_header(id, title);
   }
 
@@ -296,7 +292,7 @@ class BenchContext {
   /// runs and stdout matches historical output byte for byte).
   [[nodiscard]] int shards() const { return shards_; }
 
-  /// Run `fn` over the grid on the scenario pool; results come back in
+  /// Run `fn` over the grid on the sweep threads; results come back in
   /// task order (see harness::ScenarioRunner).
   template <typename Task, typename Fn>
   auto sweep(const std::string& name, const std::vector<Task>& tasks, Fn&& fn) {

@@ -9,7 +9,7 @@
 namespace sage::cloud::detail {
 
 std::string_view synthetic_region_label(std::size_t index) {
-  // Harness worlds run on pool threads and all share this intern table;
+  // Harness worlds run on sweep threads and all share this intern table;
   // labels are only built on slow paths (obs cells, table rendering), so a
   // plain mutex is fine. deque keeps addresses stable across growth.
   static std::mutex mu;

@@ -59,7 +59,7 @@ enum class Continent : std::uint8_t { kEurope, kNorthAmerica };
 
 namespace detail {
 /// Stable interned label for a synthetic region index ("R042"). Thread-safe
-/// (harness worlds run on pool threads); returned views never dangle.
+/// (harness worlds run on sweep threads); returned views never dangle.
 [[nodiscard]] std::string_view synthetic_region_label(std::size_t index);
 }  // namespace detail
 

@@ -51,10 +51,11 @@ class ShardedSage {
   struct Options {
     /// Requested shard count (clamped to [1, region_count] by plan_shards).
     std::size_t shards = 1;
-    /// Run lanes on an internal thread pool (false = inline in shard order;
+    /// Drive lanes on several threads (false = inline in shard order;
     /// identical results by contract).
     bool parallel = true;
-    /// Pool width cap; 0 = hardware concurrency.
+    /// Threads that drive lanes, the calling thread included; 0 = hardware
+    /// concurrency.
     std::size_t max_workers = 0;
   };
 

@@ -13,7 +13,7 @@ namespace {
 
 thread_local std::unique_ptr<obs::MetricsRegistry> g_task_metrics;
 thread_local std::uint64_t g_task_records = 0;
-thread_local int g_task_shards = -1;
+thread_local int g_task_shards = 0;
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -56,7 +56,7 @@ namespace detail {
 void begin_task_metrics() {
   g_task_metrics = std::make_unique<obs::MetricsRegistry>();
   g_task_records = 0;
-  g_task_shards = -1;
+  g_task_shards = 0;
 }
 
 std::uint64_t take_task_records() {
@@ -67,7 +67,7 @@ std::uint64_t take_task_records() {
 
 int take_task_shards() {
   const int n = g_task_shards;
-  g_task_shards = -1;
+  g_task_shards = 0;
   return n;
 }
 
@@ -91,9 +91,7 @@ int env_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ScenarioRunner::ScenarioRunner(int threads) : threads_(threads < 1 ? 1 : threads) {
-  if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads_));
-}
+ScenarioRunner::ScenarioRunner(int threads) : threads_(threads < 1 ? 1 : threads) {}
 
 double ScenarioRunner::total_wall_ms() const {
   double total = 0.0;
@@ -117,7 +115,7 @@ std::string ScenarioRunner::json(const std::string& bench, bool smoke) const {
       const TaskTiming& t = s.tasks[j];
       out += "      {\"index\": " + std::to_string(t.index) + ", \"label\": \"" +
              json_escape(t.label) + "\", \"wall_ms\": " + num(t.wall_ms);
-      out += ", \"shards\": " + std::to_string(t.shards >= 0 ? t.shards : shards_);
+      out += ", \"shards\": " + std::to_string(t.shards);
       if (t.records > 0) {
         out += ", \"records\": " + std::to_string(t.records);
         const double wall_s = t.wall_ms / 1e3;

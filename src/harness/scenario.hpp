@@ -2,17 +2,18 @@
 //
 // The experiment harness sweeps independent parameter grids — every grid
 // point builds its own World (engine + provider + RNG, nothing shared) and
-// runs it to completion. ScenarioRunner widens that across pool threads
-// while keeping the observable output bit-identical to the sequential run:
+// runs it to completion. ScenarioRunner widens that across threads, which
+// claim task indices from one shared counter, while keeping the observable
+// output bit-identical to the sequential run:
 //
 //   * tasks are described up front (seed and parameters live in the task
 //     value, exactly as the sequential code computed them — never derived
 //     from execution order, thread id, or wall clock);
 //   * results land in an index-ordered vector, so everything printed or
 //     aggregated afterwards sees the sequential order no matter how the
-//     pool interleaved execution;
-//   * with 1 thread the sweep runs inline on the caller — no pool, no
-//     synchronisation — restoring the pre-harness behaviour exactly.
+//     threads interleaved execution;
+//   * with 1 thread or 1 task no thread starts: the sweep runs in index
+//     order on the caller, restoring the pre-harness behaviour exactly.
 //
 // Thread count comes from SAGE_BENCH_THREADS (default: hardware
 // concurrency). Task exceptions are captured per slot and rethrown in
@@ -22,17 +23,17 @@
 // (--json; see BENCH_PR3.json).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "common/thread_pool.hpp"
 
 namespace sage::obs {
 class MetricsRegistry;
@@ -61,8 +62,8 @@ void report_task_records(std::uint64_t records);
 /// Record the shard count the current grid point executed at. Surfaces as
 /// `shards` in the task's --json record so sharded wall-clock wins are
 /// attributed honestly (sharded-soak sweeps mix shard counts within one
-/// sweep). Tasks that never call this inherit the runner-level default set
-/// via ScenarioRunner::set_shards. No-op outside a sweep.
+/// sweep). Tasks that never call this record 0 (the plain engine). No-op
+/// outside a sweep.
 void report_task_shards(int shards);
 
 namespace detail {
@@ -72,7 +73,7 @@ void begin_task_metrics();
 std::string end_task_metrics();
 /// Drain the thread's report_task_records() accumulator.
 std::uint64_t take_task_records();
-/// Drain the thread's report_task_shards() value (-1 when unreported).
+/// Drain the thread's report_task_shards() value (0 when unreported).
 int take_task_shards();
 }  // namespace detail
 
@@ -82,16 +83,15 @@ struct TaskTiming {
   double wall_ms = 0.0;
   /// Records the task credited via report_task_records (0 = not reported).
   std::uint64_t records = 0;
-  /// Shard count the task executed at (-1 = unreported; json falls back to
-  /// the runner-level default).
-  int shards = -1;
+  /// Shard count the task reported executing at (0 = plain engine).
+  int shards = 0;
   /// Merged metric snapshot for this grid point ("" when obs was off).
   std::string metrics_json;
 };
 
 struct SweepTiming {
   std::string name;
-  double wall_ms = 0.0;  // caller-observed: submit to last-result
+  double wall_ms = 0.0;  // caller-observed: sweep start to last result
   std::vector<TaskTiming> tasks;
 };
 
@@ -136,14 +136,25 @@ class ScenarioRunner {
       t.wall_ms = ms_since(began);
     };
 
-    if (pool_) {
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        pool_->submit([&run_one, i] { run_one(i); });
+    // The caller and width - 1 helpers each claim the next unrun index;
+    // joining the helpers publishes their result slots to the caller. What
+    // run_one itself throws (label_fn, bookkeeping) is kept like fn's, so
+    // no exception leaves a thread.
+    std::atomic<std::size_t> next{0};
+    auto claim = [&] {
+      for (std::size_t i = next++; i < tasks.size(); i = next++) {
+        try {
+          run_one(i);
+        } catch (...) {
+          if (!errors[i]) errors[i] = std::current_exception();
+        }
       }
-      pool_->wait_idle();
-    } else {
-      for (std::size_t i = 0; i < tasks.size(); ++i) run_one(i);
-    }
+    };
+    const std::size_t width = std::min<std::size_t>(threads_, tasks.size());
+    std::vector<std::thread> helpers;
+    for (std::size_t w = 1; w < width; ++w) helpers.emplace_back(claim);
+    claim();
+    for (std::thread& h : helpers) h.join();
 
     timing.wall_ms = ms_since(sweep_began);
     sweeps_.push_back(std::move(timing));
@@ -163,12 +174,6 @@ class ScenarioRunner {
   [[nodiscard]] const std::vector<SweepTiming>& sweeps() const { return sweeps_; }
   [[nodiscard]] double total_wall_ms() const;
 
-  /// Default shard count recorded per task in json() for tasks that never
-  /// called report_task_shards (0 = plain engine; the BenchContext sets
-  /// this from --shards).
-  void set_shards(int shards) { shards_ = shards; }
-  [[nodiscard]] int shards() const { return shards_; }
-
   /// Render the timing record ({bench, threads, sweeps:[{tasks:[...]}]}).
   [[nodiscard]] std::string json(const std::string& bench, bool smoke) const;
   /// Write json() to `path`; returns false (and keeps stdout untouched) on
@@ -187,8 +192,6 @@ class ScenarioRunner {
   }
 
   int threads_ = 1;
-  int shards_ = 0;
-  std::unique_ptr<ThreadPool> pool_;  // only when threads_ > 1
   std::vector<SweepTiming> sweeps_;
 };
 

@@ -21,6 +21,10 @@ SimTime saturating_add(SimTime start, SimDuration lookahead) {
   return start + lookahead;
 }
 
+/// Horizon that runs a lane dry and leaves its clock at the last fired
+/// event instead of jumping to infinity.
+constexpr SimTime kDrain = SimTime::from_micros(std::numeric_limits<std::int64_t>::max());
+
 }  // namespace
 
 ShardedSimEngine::ShardedSimEngine(Options opts)
@@ -35,15 +39,34 @@ ShardedSimEngine::ShardedSimEngine(Options opts)
   outbox_.resize(lanes * lanes);
   outbox_seq_.assign(lanes, 0);
   fired_by_lane_.assign(lanes, 0);
-  if (opts.parallel && lanes > 1) {
-    std::size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    std::size_t width = opts.max_workers == 0 ? hw : opts.max_workers;
-    pool_ = std::make_unique<ThreadPool>(std::min(lanes, width));
-  }
+  // The calling thread is worker 0; width 1 runs lanes inline.
+  const std::size_t width = std::min<std::size_t>(
+      opts.parallel ? lanes : 1,
+      opts.max_workers != 0 ? opts.max_workers
+                            : std::max(std::thread::hardware_concurrency(), 1u));
+  if (width == 1) return;
+  barrier_.emplace(static_cast<std::ptrdiff_t>(width));
+  stripe_error_.resize(width);
+  helpers_.reserve(width - 1);
+  for (std::size_t w = 1; w < width; ++w) helpers_.emplace_back([this, w] { helper_loop(w); });
 }
 
-ShardedSimEngine::~ShardedSimEngine() = default;
+ShardedSimEngine::~ShardedSimEngine() {
+  if (helpers_.empty()) return;
+  // One more start phase, in which every helper sees the flag and returns.
+  stopping_ = true;
+  barrier_->arrive_and_wait();
+  for (std::thread& t : helpers_) t.join();
+}
+
+void ShardedSimEngine::helper_loop(std::size_t w) {
+  for (;;) {
+    barrier_->arrive_and_wait();  // start
+    if (stopping_) return;
+    run_stripe(w);
+    barrier_->arrive_and_wait();  // finish
+  }
+}
 
 SimEngine& ShardedSimEngine::shard(std::size_t s) {
   SAGE_CHECK_MSG(s < shards_, "shard index out of range");
@@ -119,25 +142,36 @@ bool ShardedSimEngine::earliest_event(SimTime* t) const {
   return any;
 }
 
+void ShardedSimEngine::advance(std::size_t lane) {
+  SimEngine& e = *lanes_[lane];
+  fired_by_lane_[lane] += horizon_ == kDrain ? e.run() : e.run_until(horizon_);
+}
+
+void ShardedSimEngine::run_stripe(std::size_t w) {
+  // Each lane has exactly one driver per window and fired_by_lane_ slots are
+  // lane-indexed, so results and counters are width independent.
+  const std::size_t width = helpers_.size() + 1;
+  try {
+    for (std::size_t lane = w; lane < lanes_.size(); lane += width) advance(lane);
+  } catch (...) {
+    stripe_error_[w] = std::current_exception();
+  }
+}
+
 void ShardedSimEngine::run_lanes(SimTime horizon) {
-  const std::size_t lanes = lanes_.size();
-  // SimTime::from_micros(max) is the drain sentinel: run the lane dry and
-  // leave its clock at the last fired event instead of jumping to infinity.
-  const bool drain = horizon == SimTime::from_micros(std::numeric_limits<std::int64_t>::max());
-  const auto advance = [this, drain, horizon](std::size_t lane) {
-    fired_by_lane_[lane] +=
-        drain ? lanes_[lane]->run() : lanes_[lane]->run_until(horizon);
-  };
-  if (pool_ != nullptr) {
-    const std::size_t width = pool_->size();
-    pool_->run_on_all_workers([&advance, lanes, width](std::size_t worker) {
-      // Lane-striped ownership: worker w drives lanes w, w+width, ... Each
-      // lane has exactly one driver per window and fired_by_lane_ slots are
-      // lane-indexed, so results and counters are pool-width independent.
-      for (std::size_t lane = worker; lane < lanes; lane += width) advance(lane);
-    });
+  horizon_ = horizon;
+  if (helpers_.empty()) {
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) advance(lane);
   } else {
-    for (std::size_t lane = 0; lane < lanes; ++lane) advance(lane);
+    barrier_->arrive_and_wait();  // start: helpers read horizon_
+    run_stripe(0);
+    barrier_->arrive_and_wait();  // finish: every helper is parked again
+    std::exception_ptr first;
+    for (std::exception_ptr& err : stripe_error_) {
+      if (!first) first = err;
+      err = nullptr;
+    }
+    if (first) std::rethrow_exception(first);
   }
   ++windows_;
   std::uint64_t fired = 0;
@@ -175,7 +209,7 @@ std::uint64_t ShardedSimEngine::run() {
     // No declared cross-shard edge: post() can never satisfy the horizon
     // CHECK, so lanes are fully independent and drain in one pass.
     drain_mailboxes();
-    run_lanes(SimTime::from_micros(std::numeric_limits<std::int64_t>::max()));
+    run_lanes(kDrain);
     for (const auto& lane : lanes_) now_ = std::max(now_, lane->now());
     return window_fired_ - before;
   }

@@ -8,11 +8,14 @@
 // `lookahead` ahead of its peers without ever missing a cross-shard arrival.
 //
 // Execution alternates two strictly separated modes:
-//   * inside a window, lanes run concurrently (ThreadPool::run_on_all_workers)
-//     and interact ONLY by appending to their own per-(src,dst) outboxes;
-//   * at the window barrier, the single-threaded coordinator drains every
-//     outbox in deterministic order — records sorted by (arrival time,
-//     src shard, per-src sequence) — into the destination lanes.
+//   * inside a window, lanes run concurrently and interact ONLY by appending
+//     to their own per-(src,dst) outboxes. The calling thread and the
+//     engine's helper threads meet at one std::barrier to start the window,
+//     each drives its stripe of lanes (worker w owns lanes w, w+width, ...),
+//     and all meet again to finish it;
+//   * between windows, the calling thread alone drains every outbox in
+//     deterministic order — records sorted by (arrival time, src shard,
+//     per-src sequence) — into the destination lanes.
 // A given shard count therefore always produces identical results at any
 // worker count (lanes are data-independent within a window), and S=1
 // collapses to a single pass-through lane that is bit-for-bit the plain
@@ -27,12 +30,15 @@
 // anything — the coordinator is quiescent.
 #pragma once
 
+#include <barrier>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "simcore/engine.hpp"
 
@@ -49,12 +55,13 @@ class ShardedSimEngine {
     /// see cloud::plan_shards). <= 0 with shards > 1 means degenerate: the
     /// engine falls back to one sequential lane.
     SimDuration lookahead = SimDuration::zero();
-    /// Run lanes on an internal thread pool. false runs the same lanes in
-    /// shard order on the calling thread — identical results by contract,
-    /// which the differential tests assert.
+    /// Drive lanes on several threads. false runs the same lanes in shard
+    /// order on the calling thread — identical results by contract, which
+    /// the differential tests assert.
     bool parallel = true;
-    /// Pool width cap; 0 means hardware concurrency. The pool is never wider
-    /// than the lane count.
+    /// Threads that drive lanes, the calling thread included; 0 means
+    /// hardware concurrency. Never wider than the lane count; a width of 1
+    /// runs lanes inline as parallel = false does.
     std::size_t max_workers = 0;
   };
 
@@ -72,7 +79,6 @@ class ShardedSimEngine {
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
   [[nodiscard]] bool collapsed() const { return lanes_.size() == 1; }
   [[nodiscard]] SimDuration lookahead() const { return lookahead_; }
-  [[nodiscard]] bool parallel() const { return pool_ != nullptr; }
 
   /// The lane owning shard `s`. When collapsed, every shard maps to lane 0.
   [[nodiscard]] SimEngine& shard(std::size_t s);
@@ -122,15 +128,21 @@ class ShardedSimEngine {
   void drain_mailboxes();
   /// Earliest live event over all lanes; false when every lane is empty.
   bool earliest_event(SimTime* t) const;
-  /// Advance every lane to `horizon` (pool workers stride over lanes, or
-  /// shard order inline). Counts fired events into fired_by_lane_.
+  /// Advance every lane to `horizon` (worker stripes, or shard order
+  /// inline). Counts fired events into fired_by_lane_.
   void run_lanes(SimTime horizon);
+  /// Advance lane `lane` to horizon_.
+  void advance(std::size_t lane);
+  /// Advance worker `w`'s lanes (w, w + width, ...), keeping what they throw
+  /// in stripe_error_[w].
+  void run_stripe(std::size_t w);
+  /// Helper thread body: one stripe per window until the destructor stops it.
+  void helper_loop(std::size_t w);
 
   std::size_t shards_ = 1;
   SimDuration lookahead_ = SimDuration::zero();
   SimTime now_ = SimTime::epoch();
   std::vector<std::unique_ptr<SimEngine>> lanes_;
-  std::unique_ptr<ThreadPool> pool_;
   // outbox_[src * lane_count + dst]; only shard src's lane thread appends
   // during a window, so rows never race.
   std::vector<std::vector<Post>> outbox_;
@@ -140,6 +152,15 @@ class ShardedSimEngine {
   std::uint64_t window_fired_ = 0;  // total fired through run_lanes
   std::uint64_t cross_posts_ = 0;
   std::uint64_t windows_ = 0;
+  // The current window's end. In parallel windows the caller writes
+  // horizon_ and stopping_ before the start phase, and helpers read them
+  // after it, so the barrier orders every access.
+  SimTime horizon_ = SimTime::epoch();
+  bool stopping_ = false;
+  std::optional<std::barrier<>> barrier_;        // width = helpers_ + caller
+  std::vector<std::exception_ptr> stripe_error_;  // worker-indexed
+  // Workers 1..width-1; declared last, after everything their lanes touch.
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace sage::sim

@@ -28,7 +28,7 @@ JobGraph make_sensor_grid_job(const SensorGridParams& params) {
 
   for (std::size_t i = 0; i < params.sites.size(); ++i) {
     const cloud::Region site = params.sites[i];
-    const std::string suffix = "@" + std::string(cloud::region_code(site));
+    const std::string suffix = std::string("@").append(cloud::region_code(site));
 
     SourceSpec spec;
     spec.records_per_sec = params.records_per_sec_per_site;
@@ -75,7 +75,7 @@ JobGraph make_clickstream_job(const ClickstreamParams& params) {
   g.connect(trend, sink);
 
   for (const cloud::Region site : params.sites) {
-    const std::string suffix = "@" + std::string(cloud::region_code(site));
+    const std::string suffix = std::string("@").append(cloud::region_code(site));
 
     SourceSpec spec;
     spec.records_per_sec = params.events_per_sec_per_site;

@@ -2,6 +2,9 @@
 // worlds (noisy topology, multi-lane GeoTransfers) must render the exact
 // same table — byte for byte — whether it ran on 1 thread or on 4. This is
 // the same property the CI smoke job checks on the full figure benches.
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -127,6 +130,35 @@ TEST(ControlCacheDifferential, CachedSweepIsThreadCountInvariant) {
   const std::string four = render_sage_sweep(4);
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, four);
+}
+
+// A --json task record's `shards` is what the task reported running at,
+// not the bench's --shards flag: a task that reports nothing records 0.
+TEST(BenchJson, ShardsFieldComesOnlyFromTheTask) {
+  std::string path = ::testing::TempDir() + "bench_json_shards.json";
+  std::string args[] = {"bench_json_test", "--shards", "4", "--json", path};
+  char* argv[] = {args[0].data(), args[1].data(), args[2].data(), args[3].data(),
+                  args[4].data()};
+  bench::BenchContext ctx(5, argv, "bench_json_test", "Test", "shards attribution");
+  ASSERT_EQ(ctx.shards(), 4);
+  const std::vector<int> reported = {0, 2};
+  ctx.sweep("shards", reported, [](const int& shards) {
+    if (shards > 0) harness::report_task_shards(shards);
+    return shards;
+  });
+  ASSERT_EQ(ctx.finish(), 0);
+
+  std::ifstream in(path);
+  std::stringstream body;
+  body << in.rdbuf();
+  const std::string json = body.str();
+  std::remove(path.c_str());
+  const std::string key = "\"shards\": ";
+  std::vector<std::string> values;
+  for (std::size_t at = json.find(key); at != std::string::npos; at = json.find(key, at + 1)) {
+    values.push_back(json.substr(at + key.size(), 1));
+  }
+  EXPECT_EQ(values, (std::vector<std::string>{"0", "2"})) << json;
 }
 
 TEST(WorldRunUntil, ReportsPredicateReason) {

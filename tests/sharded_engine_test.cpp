@@ -1,8 +1,9 @@
 // ShardedSimEngine contract tests: S=1 collapse to the plain engine,
 // deterministic cross-shard mailbox ordering, the conservative lookahead
-// horizon, degenerate-lookahead fallback (including a zero-latency
-// cross-shard edge), shard planning, and the sharded-vs-sequential fabric
-// differential at awkward shard counts.
+// horizon, lane failures in parallel windows, degenerate-lookahead fallback
+// (including a zero-latency cross-shard edge), shard planning, and the
+// sharded-vs-sequential fabric differential at awkward shard counts and
+// thread counts.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -142,6 +143,26 @@ TEST(ShardedEngine, ChainedCrossPostsAtHorizonMultiplesAllArrive) {
   // run() leaves the horizon at the final window's end, at or past the last
   // event (the plain engine's last-event clock is a lane-level property).
   EXPECT_GE(e.now(), SimTime::epoch() + SimDuration::millis(kHops));
+}
+
+TEST(ShardedEngine, LaneFailureInParallelWindowSurfacesFromRun) {
+  // A lane-3 callback breaks the horizon contract on a helper thread (lane 3
+  // is worker 1's at width 2 and worker 3's at width 4). run_until rethrows
+  // it on the caller after the window's finish phase, with every helper
+  // parked, so the engine is then destroyed cleanly.
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ShardedSimEngine e(
+        ShardedSimEngine::Options{4, SimDuration::millis(10), true, threads});
+    ASSERT_EQ(e.lane_count(), 4u);
+    for (std::size_t s = 0; s < 3; ++s) {
+      e.shard(s).schedule_at(SimTime::from_micros(1000), [] {});
+    }
+    e.shard(3).schedule_at(SimTime::from_micros(1000), [&e] {
+      e.post(3, 0, SimDuration::millis(5), [] {});
+    });
+    EXPECT_THROW(e.run_until(SimTime::from_micros(50000)), CheckFailure);
+  }
 }
 
 // -- Degenerate lookahead ----------------------------------------------------
@@ -382,16 +403,19 @@ TEST(ShardedFabric, AwkwardShardCountsMatchSequentialBaseline) {
 }
 
 TEST(ShardedFabric, ParallelAndInlineLanesLeaveIdenticalEngineState) {
-  // Same shard count, pool vs calling-thread execution: full engine-counter
-  // equality, not just outcome equality — windows, cross posts, per-lane
-  // event totals all match because lanes are data-independent in a window.
+  // Same shard count, inline vs 1-4 lane-driving threads: full
+  // engine-counter equality, not just outcome equality — windows, cross
+  // posts, per-lane event totals all match because lanes are
+  // data-independent in a window. Width 1 is inline; width 3 over 4 lanes
+  // gives the caller (worker 0) an uneven stripe, lanes 0 and 3.
   const auto topo = std::make_shared<const cloud::Topology>(
       cloud::ring_of_continents(16, 8, /*stable=*/true));
   const cloud::ShardPlan plan = cloud::plan_shards(*topo, 4);
 
-  const auto drive = [&](bool parallel, std::vector<std::uint64_t>* per_lane) {
+  // threads == 0 runs lanes with parallel = false.
+  const auto drive = [&](std::size_t threads, std::vector<std::uint64_t>* per_lane) {
     ShardedSimEngine engine(
-        ShardedSimEngine::Options{plan.shards, plan.lookahead, parallel, 0});
+        ShardedSimEngine::Options{plan.shards, plan.lookahead, threads > 0, threads});
     std::vector<std::unique_ptr<cloud::Fabric>> fabrics;
     for (std::size_t l = 0; l < engine.lane_count(); ++l) {
       fabrics.push_back(std::make_unique<cloud::Fabric>(engine.shard(l), topo, 90 + l));
@@ -421,11 +445,14 @@ TEST(ShardedFabric, ParallelAndInlineLanesLeaveIdenticalEngineState) {
     return engine.events_fired();
   };
 
-  std::vector<std::uint64_t> par_state, seq_state;
-  const std::uint64_t par_fired = drive(true, &par_state);
-  const std::uint64_t seq_fired = drive(false, &seq_state);
-  EXPECT_EQ(par_fired, seq_fired);
-  EXPECT_EQ(par_state, seq_state);
+  std::vector<std::uint64_t> seq_state;
+  const std::uint64_t seq_fired = drive(0, &seq_state);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<std::uint64_t> par_state;
+    EXPECT_EQ(drive(threads, &par_state), seq_fired);
+    EXPECT_EQ(par_state, seq_state);
+  }
 }
 
 }  // namespace

@@ -131,7 +131,9 @@ TEST(GeneratorTest, RingOfContinentsInvariants) {
     EXPECT_EQ(t.region_count(), n);
     EXPECT_TRUE(connected(t)) << "n=" << n;
     // Sparse: far below the N^2 full mesh once N outgrows the continents.
-    if (n >= 64) EXPECT_LT(t.edges().size(), n * n / 2);
+    if (n >= 64) {
+      EXPECT_LT(t.edges().size(), n * n / 2);
+    }
     const double wan_ceiling = max_wan_per_flow(t);
     EXPECT_GT(wan_ceiling, 0.0);
     for (const Topology::Edge& e : t.edges()) {
@@ -164,7 +166,9 @@ TEST(GeneratorTest, HubAndSpokeInvariants) {
     EXPECT_GE(t.link(make_region(i), make_region(i)).per_flow_cap.bytes_per_second(),
               10.0 * wan_ceiling);
     // Spoke-to-spoke pairs are NOT directly linked: they relay via the hub.
-    if (i + 1 < n) EXPECT_FALSE(t.has_link(make_region(i), make_region(i + 1)));
+    if (i + 1 < n) {
+      EXPECT_FALSE(t.has_link(make_region(i), make_region(i + 1)));
+    }
   }
 }
 
