@@ -172,8 +172,9 @@ void run() {
 }  // namespace
 }  // namespace sage::bench
 
-int main() {
-  sage::bench::print_header("Ablation A", "WSI weight-function knock-outs (24 h trace)");
+int main(int argc, char** argv) {
+  sage::bench::BenchContext ctx(argc, argv, "ablation_weights", "Ablation A",
+                                "WSI weight-function knock-outs (24 h trace)");
   sage::bench::run();
-  return 0;
+  return ctx.finish();
 }

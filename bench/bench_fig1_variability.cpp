@@ -66,9 +66,9 @@ void run() {
 }  // namespace
 }  // namespace sage::bench
 
-int main() {
-  sage::bench::print_header("Fig 1",
-                            "One week of inter-datacenter TCP throughput from North EU");
+int main(int argc, char** argv) {
+  sage::bench::BenchContext ctx(argc, argv, "fig1_variability", "Fig 1",
+                                "One week of inter-datacenter TCP throughput from North EU");
   sage::bench::run();
-  return 0;
+  return ctx.finish();
 }

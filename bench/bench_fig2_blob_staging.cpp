@@ -80,8 +80,9 @@ void run() {
 }  // namespace
 }  // namespace sage::bench
 
-int main() {
-  sage::bench::print_header("Fig 2", "Blob staging (write phase) vs direct streaming, 100 MB");
+int main(int argc, char** argv) {
+  sage::bench::BenchContext ctx(argc, argv, "fig2_blob_staging", "Fig 2",
+                                "Blob staging (write phase) vs direct streaming, 100 MB");
   sage::bench::run();
-  return 0;
+  return ctx.finish();
 }

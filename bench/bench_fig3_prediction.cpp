@@ -108,8 +108,9 @@ void run() {
 }  // namespace
 }  // namespace sage::bench
 
-int main() {
-  sage::bench::print_header("Fig 3", "Prediction accuracy: Monitor vs LSI vs WSI, 24 h");
+int main(int argc, char** argv) {
+  sage::bench::BenchContext ctx(argc, argv, "fig3_prediction", "Fig 3",
+                                "Prediction accuracy: Monitor vs LSI vs WSI, 24 h");
   sage::bench::run();
-  return 0;
+  return ctx.finish();
 }

@@ -197,40 +197,51 @@ RunSeries run_strategy(Strategy strategy, int node_budget, std::uint64_t seed,
   return out;
 }
 
-void part_a() {
+constexpr Strategy kAllStrategies[] = {Strategy::kDirect, Strategy::kStatic,
+                                       Strategy::kDynamic, Strategy::kSage};
+
+std::vector<std::string> strategy_headers(const char* first) {
+  std::vector<std::string> headers = {first};
+  for (Strategy s : kAllStrategies) headers.emplace_back(strategy_name(s));
+  return headers;
+}
+
+void part_a(BenchContext& ctx) {
   print_note("(a) cumulative throughput over time, 25 nodes (MB/s):");
-  std::vector<std::string> headers = {"Minute"};
-  const Strategy all[] = {Strategy::kDirect, Strategy::kStatic, Strategy::kDynamic,
-                          Strategy::kSage};
-  std::vector<RunSeries> series;
-  for (Strategy s : all) {
-    headers.emplace_back(strategy_name(s));
-    series.push_back(run_strategy(s, 25, /*seed=*/91));
-  }
-  TextTable t(headers);
-  for (std::size_t minute = 0; minute < 10; ++minute) {
+  const int minutes = ctx.smoke() ? 3 : 10;
+  const std::vector<Strategy> grid(std::begin(kAllStrategies), std::end(kAllStrategies));
+  const auto series = ctx.sweep("timeline", grid, [minutes](const Strategy& s) {
+    return run_strategy(s, 25, /*seed=*/91, minutes);
+  });
+  TextTable t(strategy_headers("Minute"));
+  for (std::size_t minute = 0; minute < static_cast<std::size_t>(minutes); ++minute) {
     std::vector<std::string> row = {std::to_string(minute + 1)};
-    for (const RunSeries& s : series) {
-      row.push_back(minute < s.cumulative_mbps.size()
-                        ? TextTable::num(s.cumulative_mbps[minute], 2)
-                        : "-");
-    }
+    for (const RunSeries& s : series) row.push_back(TextTable::num(s.cumulative_mbps[minute], 2));
     t.add_row(row);
   }
   print_table(t);
 }
 
-void part_b() {
+void part_b(BenchContext& ctx) {
   print_note("\n(b) 10-minute throughput vs node budget (MB/s):");
-  std::vector<std::string> headers = {"Nodes"};
-  const Strategy all[] = {Strategy::kDirect, Strategy::kStatic, Strategy::kDynamic,
-                          Strategy::kSage};
-  for (Strategy s : all) headers.emplace_back(strategy_name(s));
-  TextTable t(headers);
-  for (int nodes : {5, 10, 15, 20, 25}) {
-    std::vector<std::string> row = {std::to_string(nodes)};
-    for (Strategy s : all) {
-      row.push_back(TextTable::num(run_strategy(s, nodes, /*seed=*/92).final_mbps, 2));
+  const std::vector<int> budgets =
+      ctx.smoke() ? std::vector<int>{5, 15} : std::vector<int>{5, 10, 15, 20, 25};
+  struct Cell {
+    int nodes;
+    Strategy strategy;
+  };
+  std::vector<Cell> grid;
+  for (int nodes : budgets) {
+    for (Strategy s : kAllStrategies) grid.push_back({nodes, s});
+  }
+  const auto series = ctx.sweep("budget", grid, [](const Cell& c) {
+    return run_strategy(c.strategy, c.nodes, /*seed=*/92);
+  });
+  TextTable t(strategy_headers("Nodes"));
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    std::vector<std::string> row = {std::to_string(budgets[i])};
+    for (std::size_t j = 0; j < std::size(kAllStrategies); ++j) {
+      row.push_back(TextTable::num(series[i * std::size(kAllStrategies) + j].final_mbps, 2));
     }
     t.add_row(row);
   }
@@ -249,9 +260,10 @@ void part_b() {
 }  // namespace
 }  // namespace sage::bench
 
-int main() {
-  sage::bench::print_header("Fig 9", "Multi-datacenter path strategies (NEU -> NUS)");
-  sage::bench::part_a();
-  sage::bench::part_b();
-  return 0;
+int main(int argc, char** argv) {
+  sage::bench::BenchContext ctx(argc, argv, "fig9_multipath", "Fig 9",
+                                "Multi-datacenter path strategies (NEU -> NUS)");
+  sage::bench::part_a(ctx);
+  sage::bench::part_b(ctx);
+  return ctx.finish();
 }

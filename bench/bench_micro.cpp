@@ -615,7 +615,10 @@ std::int64_t per_draw_zipf(Rng& rng, std::int64_t n, double s) {
 
 void BM_ZipfDraw(benchmark::State& state) {
   // One geo-stream key draw (20k keys, skew 1.1). Arg 0 recomputes the
-  // normalization per draw; arg 1 draws from a ZipfSampler that holds it.
+  // normalization and inverts per draw; arg 1 draws from a ZipfSampler,
+  // whose cut and guide tables answer almost every draw without a pow().
+  // In isolation its tables stay cache-hot; BM_SourceBatch adds the value
+  // draw and the per-source generators around it.
   std::int64_t n = 20000;
   double s = 1.1;
   benchmark::DoNotOptimize(n);  // run-time inputs: keep pow() unfolded
@@ -630,6 +633,32 @@ void BM_ZipfDraw(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ZipfDraw)->Arg(0)->Arg(1);
+
+void BM_SourceBatch(benchmark::State& state) {
+  // A bench-local copy of geo-stream's emission: six sources, each with its
+  // own Rng, take turns on one shared ZipfSampler(20000, 1.1); each fills a
+  // 1000-record batch, drawing a key and then normal(1.0, 0.5) per record.
+  constexpr int kSources = 6;
+  constexpr std::size_t kBatch = 1000;
+  const ZipfSampler zipf(20000, 1.1);
+  std::vector<Rng> rngs;
+  for (int i = 0; i < kSources; ++i) rngs.emplace_back(100 + i);
+  std::vector<std::uint64_t> keys(kBatch);
+  std::vector<double> values(kBatch);
+  for (auto _ : state) {
+    for (Rng& rng : rngs) {
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        keys[i] = static_cast<std::uint64_t>(zipf(rng));
+        values[i] = rng.normal(1.0, 0.5);
+      }
+      benchmark::DoNotOptimize(keys.data());
+      benchmark::DoNotOptimize(values.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kSources * static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_SourceBatch);
 
 monitor::ThroughputMatrix bench_matrix() {
   monitor::ThroughputMatrix m;

@@ -89,12 +89,13 @@ void price_book() {
 }  // namespace
 }  // namespace sage::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sage::bench;
-  print_header("Table 1", "Simulated Azure inventory & calibration");
+  BenchContext ctx(argc, argv, "table1_calibration", "Table 1",
+                   "Simulated Azure inventory & calibration");
   print_note("6 datacenters: North/West EU, North/South/East/West US.");
   vm_catalogue();
   throughput_matrix();
   price_book();
-  return 0;
+  return ctx.finish();
 }

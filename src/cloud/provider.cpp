@@ -67,14 +67,6 @@ VmHandle CloudProvider::provision(Region region, VmSize size) {
   return handle;
 }
 
-std::vector<VmHandle> CloudProvider::provision_many(Region region, VmSize size, int count) {
-  SAGE_CHECK(count >= 0);
-  std::vector<VmHandle> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) out.push_back(provision(region, size));
-  return out;
-}
-
 void CloudProvider::release(VmId id) {
   SAGE_CHECK(id < vms_.size());
   VmRecord& rec = vms_[id];

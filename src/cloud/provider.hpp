@@ -49,7 +49,6 @@ class CloudProvider {
 
   /// Lease one VM; billing starts immediately.
   VmHandle provision(Region region, VmSize size);
-  std::vector<VmHandle> provision_many(Region region, VmSize size, int count);
 
   /// End the lease; the VM-time charge is finalized.
   void release(VmId id);

@@ -12,6 +12,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace sage {
 
@@ -92,8 +93,6 @@ class Rng {
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
   /// Exponential with the given rate (mean 1/rate).
   double exponential(double rate);
-  /// Pareto with scale xm > 0 and shape alpha > 0 (heavy-tailed incidents).
-  double pareto(double xm, double alpha);
   /// Bernoulli trial.
   bool chance(double p);
 
@@ -109,32 +108,52 @@ class Rng {
 
 /// Zipf-like integers in [0, n) with exponent s (workload key skew), drawn
 /// by inverting the continuous approximation of the Zipf CDF — one uniform
-/// per draw. The per-(n, s) constants are computed once at construction, so
-/// a source pays the normalization's pow() and division per batch rather
-/// than per record.
+/// per draw. `invert` is the only definition of a key. Two tables built at
+/// construction answer almost every draw without it (Chen & Asau's
+/// cut-point inversion): the cut of each key in coarse units of u, and a
+/// guide from the top bits of u to the key where a short forward scan over
+/// the cuts starts. A draw within a guard band of a cut, or past the tabled
+/// keys, runs `invert`, so every key is bit-identical to the formula's.
 class ZipfSampler {
  public:
   ZipfSampler(std::int64_t n, double s);
 
   std::int64_t operator()(Rng& rng) const {
     if (n_ <= 1) return 0;  // before the draw: a one-key space consumes none
-    const double u = rng.uniform();
-    if (log_) return static_cast<std::int64_t>(std::exp(u * h_)) - 1;
-    // Operand order is fixed: (u * h) * oms rounds differently from
-    // u * (h * oms), and a one-ulp move in x can move a key.
-    const double x = std::pow((u * h_) * oms_ + 1.0, inv_);
-    auto k = static_cast<std::int64_t>(x) - 1;
-    if (k < 0) k = 0;
-    if (k >= n_) k = n_ - 1;
-    return k;
+    return key(rng.next_u64() >> 11);
+  }
+
+  /// The key of a draw whose 53-bit uniform is `m`, i.e. u = m * 2^-53 as
+  /// Rng::uniform() computes it.
+  [[nodiscard]] std::int64_t key(std::uint64_t m) const {
+    const auto q = static_cast<std::uint32_t>(m >> (53 - kCoarseBits));
+    std::uint32_t k = guide_[q >> guide_shift_];
+    while (cuts_[k + 1] <= q) ++k;
+    if (k < tabled_ && q - cuts_[k] >= guard_ && cuts_[k + 1] - q >= guard_) return k;
+    return invert(m);
   }
 
  private:
+  /// Coarse units of u: 2^31 per unit, so every cut (at most 1.0) and the
+  /// UINT32_MAX sentinel behind the last one fit a uint32.
+  static constexpr int kCoarseBits = 31;
+
+  /// The formula: x = (1 + u*h*(1-s))^(1/(1-s)), or e^(u*h) at s == 1.
+  [[nodiscard]] std::int64_t invert(std::uint64_t m) const;
+
   std::int64_t n_;
   bool log_;          // s == 1: the CDF inverts through exp/log
   double h_ = 0.0;    // normalization: log(n), or (n^oms - 1) / oms
   double oms_ = 0.0;  // 1 - s
   double inv_ = 0.0;  // 1 / oms
+  /// Keys [0, tabled_) are tabled; cuts_[j] is the first coarse unit of key
+  /// j (floor of its computed cut), cuts_[tabled_ + 1] the sentinel.
+  std::vector<std::uint32_t> cuts_;
+  /// guide_[b]: the key whose cut interval holds coarse unit b << guide_shift_.
+  std::vector<std::uint16_t> guide_;
+  std::uint32_t tabled_ = 0;
+  std::uint32_t guard_ = 0;  // coarse units a q must sit inside both cuts
+  int guide_shift_ = 0;
 };
 
 }  // namespace sage

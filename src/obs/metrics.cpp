@@ -212,37 +212,4 @@ std::string MetricsRegistry::snapshot_json() const {
   return out;
 }
 
-std::string MetricsRegistry::snapshot_csv() const {
-  std::vector<const Entry*> sorted;
-  sorted.reserve(entries_.size());
-  for (const Entry& e : entries_) sorted.push_back(&e);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Entry* a, const Entry* b) { return a->key < b->key; });
-
-  std::string out = "key,kind,value\n";
-  for (const Entry* ep : sorted) {
-    const Entry& e = *ep;
-    // Keys contain commas inside {...}; quote the field.
-    out += '"';
-    for (char c : e.key) {
-      if (c == '"') out += '"';
-      out += c;
-    }
-    out += '"';
-    switch (e.kind) {
-      case Kind::kCounter:
-        out += ",counter," + std::to_string(e.counter.value_);
-        break;
-      case Kind::kGauge:
-        out += ",gauge," + fmt_double(e.gauge.value_);
-        break;
-      case Kind::kHistogram:
-        out += ",histogram," + std::to_string(e.histogram.count_);
-        break;
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace sage::obs

@@ -120,7 +120,6 @@ class MetricsRegistry {
 
   /// Deterministic snapshots: entries sorted by full key.
   [[nodiscard]] std::string snapshot_json() const;
-  [[nodiscard]] std::string snapshot_csv() const;
 
   /// Canonical key spelling: name{k1=v1,k2=v2} with labels sorted by key.
   [[nodiscard]] static std::string make_key(std::string_view name, const LabelSet& labels);

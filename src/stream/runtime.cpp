@@ -49,6 +49,12 @@ void StreamRuntime::start() {
   for (const Vertex& v : graph_.vertices()) {
     VertexState& st = states_[v.id];
     if (v.kind == VertexKind::kSource) {
+      if (v.source.key_skew > 0.0) {
+        const auto key = std::make_pair(v.source.key_count, v.source.key_skew);
+        st.zipf = &samplers_
+                       .try_emplace(key, static_cast<std::int64_t>(key.first), key.second)
+                       .first->second;
+      }
       st.timer = std::make_unique<sim::PeriodicTask>(
           engine_, v.source.emit_interval, [this, id = v.id] { emit_source(id); });
       st.timer->start();
@@ -205,12 +211,12 @@ void StreamRuntime::emit_source(VertexId v) {
 
   RecordBatch batch = acquire_batch();
   batch.reserve(static_cast<std::size_t>(count));
-  // Columnar emission with the skew branch and the Zipf constants hoisted
-  // out of the loop (one ZipfSampler per batch). Only the RNG-fed key/value
-  // columns fill record by record — the draw order (key, then value, per
-  // record) matches the record-at-a-time form exactly, so generated streams
-  // are unchanged — while the constant event-time and wire columns
-  // bulk-fill afterwards.
+  // Columnar emission with the skew branch hoisted out of the loop; skewed
+  // sources draw from the runtime's shared ZipfSampler, built at start().
+  // Only the RNG-fed key/value columns fill record by record — the draw
+  // order (key, then value, per record) matches the record-at-a-time form
+  // exactly, so generated streams are unchanged — while the constant
+  // event-time and wire columns bulk-fill afterwards.
   const SimTime now = engine_.now();
   const Bytes rsize = vx.source.record_size;
   const double mean = vx.source.value_mean;
@@ -223,8 +229,8 @@ void StreamRuntime::emit_source(VertexId v) {
   vs.resize(kfilled);
   std::uint64_t* kp = ks.data();
   double* vp = vs.data();
-  if (vx.source.key_skew > 0.0) {
-    const ZipfSampler zipf(static_cast<std::int64_t>(vx.source.key_count), vx.source.key_skew);
+  if (st.zipf != nullptr) {
+    const ZipfSampler& zipf = *st.zipf;
     for (std::size_t i = kbase; i < kfilled; ++i) {
       kp[i] = static_cast<std::uint64_t>(zipf(rng_));
       vp[i] = rng_.normal(mean, stddev);

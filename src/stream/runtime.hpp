@@ -30,8 +30,10 @@
 
 #include <array>
 #include <deque>
+#include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cloud/provider.hpp"
@@ -118,6 +120,8 @@ class StreamRuntime {
     SinkStats sink;  // kSink only
     std::unique_ptr<sim::PeriodicTask> timer;  // operator timers / sources
     double carry = 0.0;  // fractional records owed by a source
+    /// Skewed sources: the runtime's sampler for their (key_count, key_skew).
+    const ZipfSampler* zipf = nullptr;
     /// Cached downcast: non-null when this vertex runs a stateless chain
     /// (the executor walks its stages individually).
     const FusedStatelessChain* fused = nullptr;
@@ -180,6 +184,9 @@ class StreamRuntime {
   /// Per-vertex resolved adjacency, built at start().
   std::vector<std::vector<OutEdge>> out_edges_;
   std::vector<RecordBatch> pool_;
+  /// One sampler per distinct (key_count, key_skew), shared by the sources
+  /// that draw from it: its tables are built once and stay cache-warm.
+  std::map<std::pair<std::uint64_t, double>, ZipfSampler> samplers_;
   std::vector<std::optional<cloud::VmId>> site_vms_;  // sized topology regions
   WanStats wan_;
   std::vector<VertexObs> vobs_;  // built at start(); empty when obs is off

@@ -90,8 +90,14 @@ TEST_P(FabricCeilings, RatesNeverExceedCeilings) {
   const int flows = GetParam();
   StableWorld world;
   auto& provider = *world.provider;
-  const auto a = provider.provision_many(Region::kNorthEU, cloud::VmSize::kSmall, flows);
-  const auto b = provider.provision_many(Region::kNorthUS, cloud::VmSize::kSmall, flows);
+  std::vector<cloud::VmHandle> a;
+  std::vector<cloud::VmHandle> b;
+  for (int i = 0; i < flows; ++i) {
+    a.push_back(provider.provision(Region::kNorthEU, cloud::VmSize::kSmall));
+  }
+  for (int i = 0; i < flows; ++i) {
+    b.push_back(provider.provision(Region::kNorthUS, cloud::VmSize::kSmall));
+  }
   const double flow_cap = provider.topology()
                               .link(Region::kNorthEU, Region::kNorthUS)
                               .per_flow_cap.to_mb_per_sec();

@@ -56,13 +56,6 @@ TEST(ProviderTest, ProvisionAndRelease) {
   EXPECT_EQ(provider.active_vm_count(), 0u);
 }
 
-TEST(ProviderTest, ProvisionManyCreatesDistinctVms) {
-  StableWorld world;
-  const auto vms = world.provider->provision_many(Region::kWestEU, VmSize::kMedium, 5);
-  ASSERT_EQ(vms.size(), 5u);
-  for (std::size_t i = 0; i + 1 < vms.size(); ++i) EXPECT_NE(vms[i].id, vms[i + 1].id);
-}
-
 TEST(ProviderTest, VmLeaseBilledForHeldDuration) {
   StableWorld world;
   auto& provider = *world.provider;

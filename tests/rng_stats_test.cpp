@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -80,11 +81,6 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(stats.mean(), 2.0, 0.1);
 }
 
-TEST(RngTest, ParetoRespectsScale) {
-  Rng rng(42);
-  for (int i = 0; i < 10'000; ++i) EXPECT_GE(rng.pareto(3.0, 2.0), 3.0);
-}
-
 TEST(RngTest, ChanceFrequency) {
   Rng rng(42);
   int hits = 0;
@@ -109,9 +105,7 @@ TEST(RngTest, ZipfSkewsLow) {
 
 // The per-draw Zipf inversion the sampler replaced, kept verbatim as the
 // reference oracle: it recomputes the normalization on every call.
-std::int64_t reference_zipf(Rng& rng, std::int64_t n, double s) {
-  if (n <= 1) return 0;
-  const double u = rng.uniform();
+std::int64_t reference_key(double u, std::int64_t n, double s) {
   if (s == 1.0) {
     const double h = std::log(static_cast<double>(n));
     return static_cast<std::int64_t>(std::exp(u * h)) - 1;
@@ -125,23 +119,65 @@ std::int64_t reference_zipf(Rng& rng, std::int64_t n, double s) {
   return k;
 }
 
+std::int64_t reference_zipf(Rng& rng, std::int64_t n, double s) {
+  if (n <= 1) return 0;
+  return reference_key(rng.uniform(), n, s);
+}
+
 TEST(ZipfSamplerTest, BitExactAgainstPerDrawInversion) {
-  // Hoisting the constants must not move a single key or draw: every key
-  // matches the oracle's, and afterwards both generators sit at the same
-  // state (a one-key space consumes no draw; s == 1 keeps its log branch).
+  // The tables must not move a single key or draw: every key matches the
+  // oracle's, and afterwards both generators sit at the same state (a
+  // one-key space consumes no draw; s == 1 keeps its log branch). 2^20 keys
+  // run past the tabled ones; s near 1 widens the guard.
   std::uint64_t seed = 100;
-  for (const std::int64_t n : {0, 1, 2, 1000, 20000}) {
-    for (const double s : {0.5, 0.99, 1.0, 1.1, 1.2, 2.0}) {
+  for (const std::int64_t n : {0, 1, 2, 1000, 10000, 20000, 1 << 20}) {
+    for (const double s : {0.5, 0.99, 0.999, 1.0, 1.001, 1.1, 1.2, 2.0}) {
       SCOPED_TRACE(testing::Message() << "n=" << n << " s=" << s);
       Rng oracle(++seed);
       Rng rng(seed);
       const ZipfSampler zipf(n, s);
-      for (int i = 0; i < 10'000; ++i) {
+      for (int i = 0; i < 1'000'000; ++i) {
         const std::int64_t want = reference_zipf(oracle, n, s);
         ASSERT_EQ(zipf(rng), want) << "draw " << i;
       }
       EXPECT_EQ(rng.next_u64(), oracle.next_u64()) << "draw counts differ";
     }
+  }
+}
+
+TEST(ZipfSamplerTest, EveryKeyBoundaryMatchesOracle) {
+  // Random draws almost never land next to a key boundary, where the table
+  // and the formula could disagree. Find, for every key j, the first 53-bit
+  // m at which the oracle reaches j, and probe m - 3 .. m + 2. The last cell
+  // is ill-conditioned: its guard must cover the formula's own error.
+  constexpr std::uint64_t kEnd = std::uint64_t{1} << 53;
+  const auto oracle = [](std::uint64_t m, std::int64_t n, double s) {
+    return reference_key(static_cast<double>(m) * 0x1.0p-53, n, s);
+  };
+  const std::pair<std::int64_t, double> cells[] = {
+      {20000, 1.1}, {10000, 1.1}, {20000, 1.0}, {1000, 0.5}, {1000, 1.0 + 0x1p-40}};
+  for (const auto& [n, s] : cells) {
+    SCOPED_TRACE(testing::Message() << "n=" << n << " s=" << s);
+    const ZipfSampler zipf(n, s);
+    int boundaries = 0;
+    for (std::int64_t j = 1; j < n; ++j) {
+      std::uint64_t lo = 0;
+      std::uint64_t hi = kEnd;
+      while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (oracle(mid, n, s) >= j) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      if (lo == kEnd) continue;  // j is past the largest key any u yields
+      ++boundaries;
+      for (std::uint64_t m = lo < 3 ? 0 : lo - 3; m <= lo + 2 && m < kEnd; ++m) {
+        ASSERT_EQ(zipf.key(m), oracle(m, n, s)) << "key " << j << " m " << m;
+      }
+    }
+    EXPECT_GE(boundaries, n - 2);
   }
 }
 
