@@ -435,12 +435,10 @@ BENCHMARK(BM_KeyedAggregate_GeoStream)->Arg(1)->Arg(6);
 
 void BM_KeyedAggregateAoS(benchmark::State& state) {
   // Array-of-structs reference for BM_KeyedAggregate: the identical keyed
-  // update loop over std::vector<Record> batches (the pre-SoA layout, 32-byte
+  // kMean fold over std::vector<Record> batches (the pre-SoA layout, 32-byte
   // stride). The delta against BM_KeyedAggregate is the columnar gather win.
   struct KeyState {
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
+    double acc = 0.0;
     std::uint64_t count = 0;
     SimTime oldest_event;
   };
@@ -465,14 +463,11 @@ void BM_KeyedAggregateAoS(benchmark::State& state) {
     for (const stream::Record& r : batches[b]) {
       auto [s, inserted] = agg.find_or_insert(r.key);
       if (inserted) {
-        s->min = s->max = r.value;
         s->oldest_event = r.event_time;
-      } else {
-        s->min = std::min(s->min, r.value);
-        s->max = std::max(s->max, r.value);
-        if (r.event_time < s->oldest_event) s->oldest_event = r.event_time;
+      } else if (r.event_time < s->oldest_event) {
+        s->oldest_event = r.event_time;
       }
-      s->sum += r.value;
+      s->acc += r.value;
       ++s->count;
     }
     if (++b == batches.size()) {
@@ -637,7 +632,11 @@ BENCHMARK(BM_ZipfDraw)->Arg(0)->Arg(1);
 void BM_SourceBatch(benchmark::State& state) {
   // A bench-local copy of geo-stream's emission: six sources, each with its
   // own Rng, take turns on one shared ZipfSampler(20000, 1.1); each fills a
-  // 1000-record batch, drawing a key and then normal(1.0, 0.5) per record.
+  // 1000-record batch, drawing a key and then a value per record. Arg 0
+  // draws normal(1.0, 0.5); arg 1 is the dead-value path, which consumes
+  // the same uniforms through skip_normal() and fills the column with the
+  // mean.
+  const bool dead_values = state.range(0) == 1;
   constexpr int kSources = 6;
   constexpr std::size_t kBatch = 1000;
   const ZipfSampler zipf(20000, 1.1);
@@ -647,9 +646,17 @@ void BM_SourceBatch(benchmark::State& state) {
   std::vector<double> values(kBatch);
   for (auto _ : state) {
     for (Rng& rng : rngs) {
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        keys[i] = static_cast<std::uint64_t>(zipf(rng));
-        values[i] = rng.normal(1.0, 0.5);
+      if (dead_values) {
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          keys[i] = static_cast<std::uint64_t>(zipf(rng));
+          rng.skip_normal();
+        }
+        std::fill(values.begin(), values.end(), 1.0);
+      } else {
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          keys[i] = static_cast<std::uint64_t>(zipf(rng));
+          values[i] = rng.normal(1.0, 0.5);
+        }
       }
       benchmark::DoNotOptimize(keys.data());
       benchmark::DoNotOptimize(values.data());
@@ -658,7 +665,7 @@ void BM_SourceBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kSources * static_cast<std::int64_t>(kBatch));
 }
-BENCHMARK(BM_SourceBatch);
+BENCHMARK(BM_SourceBatch)->Arg(0)->Arg(1);
 
 monitor::ThroughputMatrix bench_matrix() {
   monitor::ThroughputMatrix m;

@@ -1,7 +1,6 @@
 #include "monitor/monitoring.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 #include "common/check.hpp"
 #include "obs/obs.hpp"
@@ -235,19 +234,6 @@ std::vector<Sample> MonitoringService::history(cloud::Region src, cloud::Region 
     return std::vector<Sample>(link->history.begin(), link->history.end());
   }
   return {};
-}
-
-std::size_t MonitoringService::export_history_csv(std::ostream& out) const {
-  out << "src,dst,time_s,mbps\n";
-  std::size_t rows = 0;
-  for (const auto& link : links_) {
-    for (const Sample& s : link->history) {
-      out << cloud::region_code(link->src) << ',' << cloud::region_code(link->dst)
-          << ',' << s.at.to_seconds() << ',' << s.mbps << '\n';
-      ++rows;
-    }
-  }
-  return rows;
 }
 
 void MonitoringService::run_cpu_probe(cloud::Region region) {

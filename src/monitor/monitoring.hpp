@@ -19,7 +19,6 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -200,11 +199,6 @@ class MonitoringService {
   /// Recorded samples for a link, oldest first (empty when unmonitored or
   /// history is disabled).
   [[nodiscard]] std::vector<Sample> history(cloud::Region src, cloud::Region dst) const;
-
-  /// Dump every link's recorded history as CSV
-  /// (src,dst,time_seconds,mbps) — the tracked log scientists use to
-  /// profile their cloud application offline. Returns rows written.
-  std::size_t export_history_csv(std::ostream& out) const;
 
   /// Direct estimator access for experiments (may be nullptr before any
   /// agent pair exists). Non-owning. Handing out mutable access marks the

@@ -143,6 +143,10 @@ void JobGraph::validate() const {
                      "port 1 is only valid on join operators");
     }
   }
+  (void)topological_order();
+}
+
+std::vector<VertexId> JobGraph::topological_order() const {
   // Kahn's algorithm: every vertex must be reachable in a topological order
   // (i.e. the graph is acyclic).
   std::vector<int> indegree(vertices_.size(), 0);
@@ -151,16 +155,35 @@ void JobGraph::validate() const {
   for (const Vertex& v : vertices_) {
     if (indegree[v.id] == 0) queue.push_back(v.id);
   }
-  std::size_t seen = 0;
+  std::vector<VertexId> order;
+  order.reserve(vertices_.size());
   while (!queue.empty()) {
     const VertexId v = queue.back();
     queue.pop_back();
-    ++seen;
+    order.push_back(v);
     for (const Edge& e : edges_) {
       if (e.from == v && --indegree[e.to] == 0) queue.push_back(e.to);
     }
   }
-  SAGE_CHECK_MSG(seen == vertices_.size(), "job graph contains a cycle");
+  SAGE_CHECK_MSG(order.size() == vertices_.size(), "job graph contains a cycle");
+  return order;
+}
+
+std::vector<bool> JobGraph::live_value_outputs() const {
+  const std::vector<VertexId> order = topological_order();
+  std::vector<bool> out_live(vertices_.size(), false);
+  // Every consumer comes after its producers in `order`, so walking it
+  // backwards settles each vertex's output before its inputs are asked.
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const Vertex& to = vertices_[*it];
+    if (to.kind != VertexKind::kOperator || !to.op->uses_input_values(out_live[to.id])) {
+      continue;
+    }
+    for (const Edge& e : edges_) {
+      if (e.to == to.id) out_live[e.from] = true;
+    }
+  }
+  return out_live;
 }
 
 }  // namespace sage::stream

@@ -24,6 +24,12 @@ enum class VertexKind : std::uint8_t { kSource, kOperator, kSink };
 
 /// Synthetic source description. Sources emit batches every emit_interval;
 /// record count follows the configured rate with fractional accumulation.
+/// Values are N(value_mean, value_stddev) draws while some consumer reads
+/// them (JobGraph::live_value_outputs; an operator that does not say
+/// otherwise reads). When none does, the source still consumes each
+/// value's uniforms (Rng::skip_normal leaves the pair's second normal as a
+/// lazy spare, so later draws are unchanged) and fills the column with
+/// value_mean.
 struct SourceSpec {
   double records_per_sec = 1000.0;
   Bytes record_size = Bytes::of(200);
@@ -77,6 +83,14 @@ class JobGraph {
   /// cells key on the name).
   void validate() const;
 
+  /// Per vertex, whether anything downstream reads the value column of
+  /// what it outputs. Walks a topological order backwards: a sink reads no
+  /// values, a WAN edge ships records without reading them (it passes its
+  /// consumer's answer through), and an operator answers
+  /// Operator::uses_input_values given its own output's liveness. A vertex
+  /// with several consumers is live when any of them reads.
+  [[nodiscard]] std::vector<bool> live_value_outputs() const;
+
   /// Collapse linear runs of same-site stateless chains (every map and
   /// filter is a one-stage chain) into single longer chains, so a
   /// batch crosses the run in one executor dispatch with no intermediate
@@ -87,6 +101,10 @@ class JobGraph {
   std::size_t fuse_stateless_chains();
 
  private:
+  /// Every vertex id in a topological order (Kahn's algorithm); throws
+  /// CheckFailure when the graph has a cycle.
+  [[nodiscard]] std::vector<VertexId> topological_order() const;
+
   std::vector<Vertex> vertices_;
   std::vector<Edge> edges_;
 };

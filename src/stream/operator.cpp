@@ -56,6 +56,22 @@ double FusedStatelessChain::cost_per_record() const {
   return sum;
 }
 
+bool FusedStatelessChain::uses_input_values(bool out_values_live) const {
+  return out_values_live ||
+         std::any_of(stages_.begin(), stages_.end(),
+                     [](const StatelessStage& s) { return s.values == ValueUse::kReads; });
+}
+
+std::vector<bool> FusedStatelessChain::dead_value_maps(bool out_values_live) const {
+  std::vector<bool> dead(stages_.size(), false);
+  bool live = out_values_live;  // whether stage i's output values are read
+  for (std::size_t i = stages_.size(); i-- > 0;) {
+    dead[i] = stages_[i].values == ValueUse::kMaps && !live;
+    if (stages_[i].values == ValueUse::kReads) live = true;
+  }
+  return dead;
+}
+
 bool FusedStatelessChain::collect_stages(std::vector<StatelessStage>& stages) const {
   stages.insert(stages.end(), stages_.begin(), stages_.end());
   return true;
@@ -78,13 +94,35 @@ WindowAggregateOperator::WindowAggregateOperator(std::string name, SimDuration w
 void WindowAggregateOperator::process(int port, const RecordBatch& in, RecordBatch& out) {
   SAGE_CHECK_MSG(port == 0, "window aggregate has a single input port");
   (void)out;  // results are emitted on window close, not per batch
-  // Keyed gather: read the three touched columns directly instead of
-  // materializing 32-byte Records (the wire column is dead here).
-  const std::size_t n = in.size();
   // Presize the keyed state for the all-new-keys worst case so the gather
   // loop never rehashes mid-batch; FlatMap keeps capacity across window
   // flushes, so a steady-state pipeline pays the growth once.
-  state_.reserve(state_.size() + n);
+  state_.reserve(state_.size() + in.size());
+  switch (fn_) {
+    case AggregateFn::kSum:
+      fold<AggregateFn::kSum>(in);
+      break;
+    case AggregateFn::kCount:
+      fold<AggregateFn::kCount>(in);
+      break;
+    case AggregateFn::kMean:
+      fold<AggregateFn::kMean>(in);
+      break;
+    case AggregateFn::kMin:
+      fold<AggregateFn::kMin>(in);
+      break;
+    case AggregateFn::kMax:
+      fold<AggregateFn::kMax>(in);
+      break;
+  }
+}
+
+template <AggregateFn F>
+void WindowAggregateOperator::fold(const RecordBatch& in) {
+  // Keyed gather: read the touched columns directly instead of
+  // materializing 32-byte Records (the wire column is dead here, and so is
+  // the value column of a count).
+  const std::size_t n = in.size();
   const std::uint64_t* keys = in.keys().data();
   const double* values = in.values().data();
   const SimTime* times = in.event_times().data();
@@ -94,17 +132,16 @@ void WindowAggregateOperator::process(int port, const RecordBatch& in, RecordBat
   constexpr std::size_t kPrefetchAhead = 16;
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchAhead < n) state_.prefetch(keys[i + kPrefetchAhead]);
-    const double v = values[i];
     auto [s, inserted] = state_.find_or_insert(keys[i]);
     if (inserted) {
-      s->min = s->max = v;
       s->oldest_event = times[i];
+      if constexpr (F == AggregateFn::kMin || F == AggregateFn::kMax) s->acc = values[i];
     } else {
-      s->min = std::min(s->min, v);
-      s->max = std::max(s->max, v);
       if (times[i] < s->oldest_event) s->oldest_event = times[i];
+      if constexpr (F == AggregateFn::kMin) s->acc = std::min(s->acc, values[i]);
+      if constexpr (F == AggregateFn::kMax) s->acc = std::max(s->acc, values[i]);
     }
-    s->sum += v;
+    if constexpr (F == AggregateFn::kSum || F == AggregateFn::kMean) s->acc += values[i];
     ++s->count;
   }
 }
@@ -129,30 +166,29 @@ void WindowAggregateOperator::on_timer(SimTime now, RecordBatch& out) {
   std::uint64_t* kp = ks.data() + base;
   double* vp = vs.data() + base;
   Bytes* wp = ws.data() + base;
-  std::size_t i = 0;
-  state_.for_each([&](std::uint64_t key, const KeyState& s) {
-    kp[i] = key;
-    ep[i] = s.oldest_event;
-    wp[i] = out_size_;
-    switch (fn_) {
-      case AggregateFn::kSum:
-        vp[i] = s.sum;
-        break;
-      case AggregateFn::kCount:
-        vp[i] = static_cast<double>(s.count);
-        break;
-      case AggregateFn::kMean:
-        vp[i] = s.sum / static_cast<double>(s.count);
-        break;
-      case AggregateFn::kMin:
-        vp[i] = s.min;
-        break;
-      case AggregateFn::kMax:
-        vp[i] = s.max;
-        break;
-    }
-    ++i;
-  });
+  auto scatter = [&](auto value_of) {
+    std::size_t i = 0;
+    state_.for_each([&](std::uint64_t key, const KeyState& s) {
+      kp[i] = key;
+      ep[i] = s.oldest_event;
+      wp[i] = out_size_;
+      vp[i] = value_of(s);
+      ++i;
+    });
+  };
+  switch (fn_) {
+    case AggregateFn::kSum:
+    case AggregateFn::kMin:
+    case AggregateFn::kMax:
+      scatter([](const KeyState& s) { return s.acc; });
+      break;
+    case AggregateFn::kCount:
+      scatter([](const KeyState& s) { return static_cast<double>(s.count); });
+      break;
+    case AggregateFn::kMean:
+      scatter([](const KeyState& s) { return s.acc / static_cast<double>(s.count); });
+      break;
+  }
   out.set_wire_size(out.wire_size() +
                     Bytes::of(out_size_.count() * static_cast<std::int64_t>(n)));
   state_.clear();

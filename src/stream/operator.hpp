@@ -273,6 +273,15 @@ BatchApplyFn make_key_filter_kernel(F f) {
   };
 }
 
+/// How a stateless stage touches the value column: the tag the value
+/// liveness pass (JobGraph::live_value_outputs) folds over a chain. Only the
+/// factories that know their callable's field set a tag other than kReads.
+enum class ValueUse : std::uint8_t {
+  kReads,    ///< reads input values: value filters, generic maps and filters
+  kCarries,  ///< key filter: values ride through untouched
+  kMaps,     ///< value map: each output value depends on its input value alone
+};
+
 /// One stage of a fused stateless chain: exactly one of `map` / `filter`
 /// is set (record-at-a-time semantics), and `apply` is the stage's one
 /// whole-batch pass — the column kernel where a factory lowered one,
@@ -284,6 +293,7 @@ struct StatelessStage {
   FilterPred filter;
   BatchApplyFn apply;
   double cost = 1.0;
+  ValueUse values = ValueUse::kReads;
 };
 
 class Operator {
@@ -311,6 +321,17 @@ class Operator {
 
   /// Abstract CPU work per input record.
   [[nodiscard]] virtual double cost_per_record() const { return 1.0; }
+
+  /// Whether this operator reads the value column of its input, given
+  /// whether anything downstream reads the values it outputs. The runtime
+  /// asks once per vertex at start() (JobGraph::live_value_outputs); a
+  /// source none of whose consumers reads values fills its value column
+  /// with `value_mean` instead of computing it. Default: yes — an operator
+  /// that does not say otherwise is assumed to read values.
+  [[nodiscard]] virtual bool uses_input_values(bool out_values_live) const {
+    (void)out_values_live;
+    return true;
+  }
 
   /// Append this operator's stateless stage(s) to `stages` and return true,
   /// or return false when the operator is stateful (not fusible).
@@ -346,8 +367,17 @@ class FusedStatelessChain final : public Operator {
   /// Sum of stage costs — the chain's worst-case per-record work; the
   /// runtime's stage-wise path uses the exact per-stage costs instead.
   [[nodiscard]] double cost_per_record() const override;
+  /// Yes when any stage reads values (kReads); kCarries and kMaps stages
+  /// pass the downstream answer through.
+  [[nodiscard]] bool uses_input_values(bool out_values_live) const override;
   [[nodiscard]] bool collect_stages(std::vector<StatelessStage>& stages) const override;
   [[nodiscard]] std::string_view name() const override { return name_; }
+
+  /// Per stage, whether its batch pass computes nothing anyone reads: a
+  /// value map whose output values are dead when the chain's output values
+  /// are `out_values_live`. The runtime skips those passes (the stage keeps
+  /// its simulated delay).
+  [[nodiscard]] std::vector<bool> dead_value_maps(bool out_values_live) const;
 
   [[nodiscard]] std::size_t stage_count() const { return stages_.size(); }
   [[nodiscard]] double stage_cost(std::size_t i) const { return stages_[i].cost; }
@@ -374,6 +404,7 @@ enum class AggregateFn : std::uint8_t { kSum, kCount, kMean, kMin, kMax };
 /// length. Each window close emits one record per active key whose value is
 /// the aggregate and whose event_time is the *oldest* contributing event
 /// time (so downstream latency accounting reflects the slowest member).
+/// Each key folds only what its function emits; a count never reads values.
 class WindowAggregateOperator final : public Operator {
  public:
   WindowAggregateOperator(std::string name, SimDuration window, AggregateFn fn,
@@ -383,18 +414,24 @@ class WindowAggregateOperator final : public Operator {
   void on_timer(SimTime now, RecordBatch& out) override;
   [[nodiscard]] SimDuration timer_interval() const override { return window_; }
   [[nodiscard]] double cost_per_record() const override { return cost_; }
+  [[nodiscard]] bool uses_input_values(bool out_values_live) const override {
+    return fn_ != AggregateFn::kCount && out_values_live;
+  }
   [[nodiscard]] std::string_view name() const override { return name_; }
 
   [[nodiscard]] std::size_t active_keys() const { return state_.size(); }
 
  private:
+  /// `acc` is the sum (kSum, kMean; starts at 0.0, so the first value
+  /// lands as 0.0 + v), the running min or max, and unused by kCount.
   struct KeyState {
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
+    double acc = 0.0;
     std::uint64_t count = 0;
     SimTime oldest_event;
   };
+
+  template <AggregateFn F>
+  void fold(const RecordBatch& in);
 
   std::string name_;
   SimDuration window_;
@@ -422,6 +459,10 @@ class WindowJoinOperator final : public Operator {
   void on_timer(SimTime now, RecordBatch& out) override;
   [[nodiscard]] SimDuration timer_interval() const override { return window_ / 2.0; }
   [[nodiscard]] double cost_per_record() const override { return cost_; }
+  /// Matches depend on keys alone; only the combined values read inputs.
+  [[nodiscard]] bool uses_input_values(bool out_values_live) const override {
+    return out_values_live;
+  }
   [[nodiscard]] std::string_view name() const override { return name_; }
 
   [[nodiscard]] std::size_t buffered() const;
@@ -459,6 +500,9 @@ class SlidingWindowAggregateOperator final : public Operator {
   void on_timer(SimTime now, RecordBatch& out) override;
   [[nodiscard]] SimDuration timer_interval() const override { return slide_; }
   [[nodiscard]] double cost_per_record() const override { return cost_; }
+  [[nodiscard]] bool uses_input_values(bool out_values_live) const override {
+    return fn_ != AggregateFn::kCount && out_values_live;
+  }
   [[nodiscard]] std::string_view name() const override { return name_; }
 
   [[nodiscard]] std::size_t pane_count() const;
@@ -501,6 +545,12 @@ class TopKOperator final : public Operator {
   void on_timer(SimTime now, RecordBatch& out) override;
   [[nodiscard]] SimDuration timer_interval() const override { return window_; }
   [[nodiscard]] double cost_per_record() const override { return cost_; }
+  /// Summed values pick which keys win, whether or not the weights the
+  /// output carries are read.
+  [[nodiscard]] bool uses_input_values(bool out_values_live) const override {
+    (void)out_values_live;
+    return sum_values_;
+  }
   [[nodiscard]] std::string_view name() const override { return name_; }
 
  private:
@@ -555,7 +605,7 @@ template <class F>
   };
   return make_fused(std::move(name), {StatelessStage{MapFn(on_record), nullptr,
                                                      make_value_map_kernel(std::move(fn)),
-                                                     cost}});
+                                                     cost, ValueUse::kMaps}});
 }
 /// Filter on the value alone: `pred` is `double -> bool`.
 template <class F>
@@ -575,7 +625,8 @@ template <class F>
   auto on_record = [pred](const Record& r) { return static_cast<bool>(pred(r.key)); };
   return make_fused(std::move(name),
                     {StatelessStage{nullptr, FilterPred(on_record),
-                                    make_key_filter_kernel(std::move(pred)), cost}});
+                                    make_key_filter_kernel(std::move(pred)), cost,
+                                    ValueUse::kCarries}});
 }
 [[nodiscard]] std::shared_ptr<Operator> make_window_aggregate(
     std::string name, SimDuration window, AggregateFn fn,

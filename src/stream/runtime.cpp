@@ -46,9 +46,12 @@ void StreamRuntime::start() {
         provider_.provision(site, config_.site_vm).id;
   }
 
+  const std::vector<bool> live = graph_.live_value_outputs();
   for (const Vertex& v : graph_.vertices()) {
     VertexState& st = states_[v.id];
+    if (st.fused != nullptr) st.skip_stage = st.fused->dead_value_maps(live[v.id]);
     if (v.kind == VertexKind::kSource) {
+      st.values_live = live[v.id];
       if (v.source.key_skew > 0.0) {
         const auto key = std::make_pair(v.source.key_count, v.source.key_skew);
         st.zipf = &samplers_
@@ -211,12 +214,14 @@ void StreamRuntime::emit_source(VertexId v) {
 
   RecordBatch batch = acquire_batch();
   batch.reserve(static_cast<std::size_t>(count));
-  // Columnar emission with the skew branch hoisted out of the loop; skewed
-  // sources draw from the runtime's shared ZipfSampler, built at start().
-  // Only the RNG-fed key/value columns fill record by record — the draw
-  // order (key, then value, per record) matches the record-at-a-time form
-  // exactly, so generated streams are unchanged — while the constant
-  // event-time and wire columns bulk-fill afterwards.
+  // Columnar emission with the skew and liveness branches hoisted out of
+  // the loop; skewed sources draw from the runtime's shared ZipfSampler,
+  // built at start(). Only the RNG-fed key/value columns fill record by
+  // record — the draw order (key, then value, per record) matches the
+  // record-at-a-time form exactly, so generated streams are unchanged —
+  // while the constant event-time and wire columns bulk-fill afterwards.
+  // Dead values still consume their draw (skip_normal), so every key and
+  // every later live value is the one the full draw would give.
   const SimTime now = engine_.now();
   const Bytes rsize = vx.source.record_size;
   const double mean = vx.source.value_mean;
@@ -229,18 +234,26 @@ void StreamRuntime::emit_source(VertexId v) {
   vs.resize(kfilled);
   std::uint64_t* kp = ks.data();
   double* vp = vs.data();
+  auto draw = [&](auto key_of) {
+    if (st.values_live) {
+      for (std::size_t i = kbase; i < kfilled; ++i) {
+        kp[i] = static_cast<std::uint64_t>(key_of());
+        vp[i] = rng_.normal(mean, stddev);
+      }
+    } else {
+      for (std::size_t i = kbase; i < kfilled; ++i) {
+        kp[i] = static_cast<std::uint64_t>(key_of());
+        rng_.skip_normal();
+      }
+      for (std::size_t i = kbase; i < kfilled; ++i) vp[i] = mean;
+    }
+  };
   if (st.zipf != nullptr) {
     const ZipfSampler& zipf = *st.zipf;
-    for (std::size_t i = kbase; i < kfilled; ++i) {
-      kp[i] = static_cast<std::uint64_t>(zipf(rng_));
-      vp[i] = rng_.normal(mean, stddev);
-    }
+    draw([&] { return zipf(rng_); });
   } else {
     const auto hi = static_cast<std::int64_t>(vx.source.key_count) - 1;
-    for (std::size_t i = kbase; i < kfilled; ++i) {
-      kp[i] = static_cast<std::uint64_t>(rng_.uniform_int(0, hi));
-      vp[i] = rng_.normal(mean, stddev);
-    }
+    draw([&] { return rng_.uniform_int(0, hi); });
   }
   // resize + pointer fill rather than insert(end, n, v): libstdc++'s
   // _M_fill_insert takes a generic path an order of magnitude slower than
@@ -443,8 +456,9 @@ void StreamRuntime::run_fused_stage(VertexId v, RecordBatch batch, std::size_t s
                                  batch = std::move(batch)]() mutable {
     if (!*alive || !running_) return;
     if (obs_fused_stages_ != nullptr) obs_fused_stages_->add();
-    const FusedStatelessChain& chain2 = *states_[v].fused;
-    chain2.apply_stage(stage, batch);
+    const VertexState& st = states_[v];
+    const FusedStatelessChain& chain2 = *st.fused;
+    if (!st.skip_stage[stage]) chain2.apply_stage(stage, batch);
     if (!batch.empty() && stage + 1 < chain2.stage_count()) {
       run_fused_stage(v, std::move(batch), stage + 1);
       return;

@@ -26,6 +26,11 @@
 //     return to a free-list pool instead of the allocator.
 //   * Per-vertex out-edge adjacency (with resolved geo-batcher pointers) is
 //     precomputed at start(), removing an O(edges) scan per dispatch.
+//   * No value work nothing reads: start() asks the graph which outputs
+//     carry live values (JobGraph::live_value_outputs). A source whose
+//     values are dead draws keys as always but skips computing each normal
+//     (Rng::skip_normal keeps the stream of uniforms unchanged), and a value
+//     map whose output is dead skips its pass.
 #pragma once
 
 #include <array>
@@ -122,9 +127,16 @@ class StreamRuntime {
     double carry = 0.0;  // fractional records owed by a source
     /// Skewed sources: the runtime's sampler for their (key_count, key_skew).
     const ZipfSampler* zipf = nullptr;
+    /// Sources: whether any consumer reads the value column; when not, the
+    /// source skips computing each value and fills the column with
+    /// value_mean.
+    bool values_live = true;
     /// Cached downcast: non-null when this vertex runs a stateless chain
     /// (the executor walks its stages individually).
     const FusedStatelessChain* fused = nullptr;
+    /// Chains: the value-map stages whose batch pass nobody reads (their
+    /// simulated delay still runs).
+    std::vector<bool> skip_stage;
   };
 
   struct GeoBatcher {

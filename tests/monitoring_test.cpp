@@ -3,11 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -151,22 +149,6 @@ TEST_F(MonitoringFixture, CpuEstimateIsNearNominal) {
   EXPECT_LT(cpu, 1.2);
   // Unmonitored region falls back to nominal.
   EXPECT_DOUBLE_EQ(service->cpu_estimate(Region::kWestUS), 1.0);
-}
-
-TEST_F(MonitoringFixture, HistoryExportsAsCsv) {
-  config.probe_interval = SimDuration::minutes(1);
-  auto service = make({kNEU, kNUS});
-  service->start();
-  world.engine.run_until(world.engine.now() + SimDuration::minutes(10));
-  std::ostringstream csv;
-  const std::size_t rows = service->export_history_csv(csv);
-  EXPECT_GT(rows, 5u);
-  const std::string text = csv.str();
-  EXPECT_NE(text.find("src,dst,time_s,mbps"), std::string::npos);
-  EXPECT_NE(text.find("NEU,NUS"), std::string::npos);
-  // One header + `rows` data lines.
-  EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')),
-            rows + 1);
 }
 
 TEST_F(MonitoringFixture, EstimatorKindIsConfigurable) {

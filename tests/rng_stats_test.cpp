@@ -1,6 +1,7 @@
 // Tests for the deterministic RNG and the online-statistics toolkit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -72,6 +73,80 @@ TEST(RngTest, NormalMoments) {
   for (int i = 0; i < 50'000; ++i) stats.add(rng.normal(10.0, 2.0));
   EXPECT_NEAR(stats.mean(), 10.0, 0.05);
   EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
+}
+
+/// Marsaglia polar written out in full: every pair is transformed and both
+/// normals are kept, whether or not anyone reads them. Only the uniforms
+/// come from Rng.
+struct PolarReference {
+  Rng rng;
+  double spare = 0.0;
+  bool has_spare = false;
+
+  double normal() {
+    if (has_spare) {
+      has_spare = false;
+      return spare;
+    }
+    double u = 0.0;
+    double v = 0.0;
+    double s = 0.0;
+    do {
+      u = rng.uniform(-1.0, 1.0);
+      v = rng.uniform(-1.0, 1.0);
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double m = std::sqrt(-2.0 * std::log(s) / s);
+    spare = v * m;
+    has_spare = true;
+    return u * m;
+  }
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(RngTest, SkipNormalMatchesFullPolarDrawsBitForBit) {
+  // Random interleavings of every draw, against the reference: skip_normal
+  // must consume what normal() would, and a spare it leaves unevaluated
+  // must come out of the next normal() with the reference's exact bits,
+  // also in a copy taken while the spare is pending.
+  Rng script(2027);  // chooses the operations, never compared
+  std::uint64_t spares_checked = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint64_t seed = script.next_u64();
+    Rng rng(seed);
+    PolarReference ref{Rng(seed)};
+    for (int op = 0; op < 500; ++op) {
+      switch (script.uniform_int(0, 4)) {
+        case 0: {
+          const bool spare = ref.has_spare;
+          ASSERT_EQ(bits(rng.normal()), bits(ref.normal())) << "trial " << trial;
+          spares_checked += spare ? 1 : 0;
+          break;
+        }
+        case 1:
+          rng.skip_normal();
+          (void)ref.normal();
+          break;
+        case 2:
+          ASSERT_EQ(bits(rng.uniform()), bits(ref.rng.uniform())) << "trial " << trial;
+          break;
+        case 3:
+          ASSERT_EQ(rng.next_u64(), ref.rng.next_u64()) << "trial " << trial;
+          break;
+        default: {
+          // A copy continues on its own; the original stays unchanged.
+          Rng copy = rng;
+          PolarReference ref_copy = ref;
+          for (int k = 0; k < 3; ++k) {
+            ASSERT_EQ(bits(copy.normal()), bits(ref_copy.normal())) << "trial " << trial;
+          }
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(spares_checked, 1000u);
 }
 
 TEST(RngTest, ExponentialMean) {

@@ -2,6 +2,12 @@
 // runtime behaviour (queueing, windows, latency accounting).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "stream/graph.hpp"
 #include "stream/operator.hpp"
@@ -115,6 +121,26 @@ TEST(WindowAggregateTest, AllAggregateFunctions) {
   EXPECT_DOUBLE_EQ(run(AggregateFn::kMean), 14.0 / 3.0);
   EXPECT_DOUBLE_EQ(run(AggregateFn::kMin), 2.0);
   EXPECT_DOUBLE_EQ(run(AggregateFn::kMax), 8.0);
+}
+
+TEST(WindowAggregateTest, SumsStartFromPositiveZero) {
+  // A sum folds 0.0 + v, so a lone -0.0 emits +0.0; min and max return
+  // the value itself.
+  auto run = [](AggregateFn fn) {
+    WindowAggregateOperator op("agg", SimDuration::seconds(1), fn);
+    RecordBatch in;
+    in.add(make_record(-0.0, 7));
+    RecordBatch none;
+    op.process(0, in, none);
+    RecordBatch out;
+    op.on_timer(SimTime::epoch() + SimDuration::seconds(1), out);
+    EXPECT_EQ(out.size(), 1u);
+    return std::signbit(out.row(0).value);
+  };
+  EXPECT_FALSE(run(AggregateFn::kSum));
+  EXPECT_FALSE(run(AggregateFn::kMean));
+  EXPECT_TRUE(run(AggregateFn::kMin));
+  EXPECT_TRUE(run(AggregateFn::kMax));
 }
 
 TEST(WindowAggregateTest, OutputCarriesOldestEventTime) {
@@ -367,6 +393,190 @@ TEST(JobGraphTest, PortOneValidOnJoin) {
 }
 
 // ---------------------------------------------------------------------------
+// Value liveness: which sources must draw their values.
+// ---------------------------------------------------------------------------
+
+/// An operator that says nothing about values: the liveness pass must take
+/// it for a reader.
+class OpaqueOperator final : public Operator {
+ public:
+  void process(int, const RecordBatch& in, RecordBatch& out) override { out.append(in); }
+  [[nodiscard]] std::string_view name() const override { return "opaque"; }
+};
+
+std::shared_ptr<Operator> drop_key_mod3(const std::string& name) {
+  return make_key_filter(name, [](std::uint64_t k) { return k % 3 != 0; });
+}
+std::shared_ptr<Operator> affine(const std::string& name) {
+  return make_value_map(name, [](double v) { return 2.0 * v + 1.0; });
+}
+std::shared_ptr<Operator> window(const std::string& name, AggregateFn fn) {
+  return make_window_aggregate(name, SimDuration::seconds(5), fn);
+}
+std::shared_ptr<Operator> top_k(const std::string& name, bool sum_values) {
+  return make_top_k(name, SimDuration::seconds(10), 5, sum_values);
+}
+
+/// source -> ops... -> sink, all on one site.
+JobGraph pipeline(const std::vector<std::shared_ptr<Operator>>& ops) {
+  JobGraph g;
+  VertexId prev = g.add_source("s", kNEU, SourceSpec{});
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const VertexId v = g.add_operator("op" + std::to_string(i), kNEU, ops[i]);
+    g.connect(prev, v);
+    prev = v;
+  }
+  g.connect(prev, g.add_sink("k", kNEU));
+  return g;
+}
+
+TEST(ValueLivenessTest, SourceVerdictPerGraphShape) {
+  struct Case {
+    const char* shape;
+    std::function<JobGraph()> build;
+    bool live;  // the verdict for every source of the graph
+  };
+  const std::vector<Case> cases = {
+      // Dead: no consumer reads what the sources draw.
+      {"geo-stream: key filter, value map, count ->WAN-> top-k(sum) -> sink",
+       [] {
+         JobGraph g;
+         const VertexId topk = g.add_operator("topk", kNUS, top_k("topk", true));
+         g.connect(topk, g.add_sink("k", kNUS));
+         for (const Region site : {kNEU, Region::kWestEU}) {
+           const std::string tag(cloud::region_code(site));
+           SourceSpec spec;
+           spec.key_count = 20000;
+           spec.key_skew = 1.1;
+           const VertexId src = g.add_source("s" + tag, site, spec);
+           const VertexId bots = g.add_operator("bots" + tag, site, drop_key_mod3("bots"));
+           const VertexId score = g.add_operator("score" + tag, site, affine("score"));
+           const VertexId count =
+               g.add_operator("count" + tag, site, window("count", AggregateFn::kCount));
+           g.connect(src, bots);
+           g.connect(bots, score);
+           g.connect(score, count);
+           g.connect(count, topk);
+         }
+         return g;
+       },
+       false},
+      {"fig4: key filter ->WAN-> count -> sink",
+       [] {
+         JobGraph g;
+         const VertexId src = g.add_source("s", kNEU, SourceSpec{});
+         const VertexId clean = g.add_operator("clean", kNEU, drop_key_mod3("clean"));
+         const VertexId count =
+             g.add_operator("count", kNUS, window("count", AggregateFn::kCount));
+         g.connect(src, clean);
+         g.connect(clean, count);
+         g.connect(count, g.add_sink("k", kNUS));
+         return g;
+       },
+       false},
+      {"mean -> mean -> sink",
+       [] {
+         return pipeline({window("m1", AggregateFn::kMean), window("m2", AggregateFn::kMean)});
+       },
+       false},
+      {"join -> sink",
+       [] {
+         JobGraph g;
+         const VertexId s1 = g.add_source("s1", kNEU, SourceSpec{});
+         const VertexId s2 = g.add_source("s2", kNEU, SourceSpec{});
+         const VertexId j = g.add_operator(
+             "j", kNEU, make_window_join("j", SimDuration::seconds(10),
+                                         [](double l, double r) { return l * r; }));
+         g.connect(s1, j, 0);
+         g.connect(s2, j, 1);
+         g.connect(j, g.add_sink("k", kNEU));
+         return g;
+       },
+       false},
+      {"top-k without sum_values", [] { return pipeline({top_k("t", false)}); }, false},
+      // Live: some consumer reads the values.
+      {"value filter behind key filters and value maps",
+       [] {
+         return pipeline({drop_key_mod3("b1"), affine("a1"), drop_key_mod3("b2"), affine("a2"),
+                          make_value_filter("pos", [](double v) { return v > 0.0; }),
+                          window("count", AggregateFn::kCount)});
+       },
+       true},
+      {"top-k(sum) fed straight by the source", [] { return pipeline({top_k("t", true)}); },
+       true},
+      {"generic make_map",
+       [] {
+         return pipeline({make_map("id", [](const Record& r) { return r; }),
+                          window("count", AggregateFn::kCount)});
+       },
+       true},
+      {"generic make_filter",
+       [] {
+         return pipeline({make_filter("all", [](const Record&) { return true; }),
+                          window("count", AggregateFn::kCount)});
+       },
+       true},
+      {"operator without an override",
+       [] {
+         return pipeline(
+             {std::make_shared<OpaqueOperator>(), window("count", AggregateFn::kCount)});
+       },
+       true},
+      {"fan-out to one dead and one live consumer",
+       [] {
+         JobGraph g;
+         const VertexId src = g.add_source("s", kNEU, SourceSpec{});
+         const VertexId count = g.add_operator("count", kNEU, window("count", AggregateFn::kCount));
+         const VertexId sum = g.add_operator("sum", kNEU, window("sum", AggregateFn::kSum));
+         const VertexId total = g.add_operator("total", kNEU, top_k("total", true));
+         g.connect(src, count);
+         g.connect(src, sum);
+         g.connect(count, g.add_sink("k1", kNEU));
+         g.connect(sum, total);
+         g.connect(total, g.add_sink("k2", kNEU));
+         return g;
+       },
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.shape);
+    JobGraph g = c.build();
+    g.validate();
+    // The runtime asks the fused graph; fusion must not change a verdict.
+    for (const bool fused : {false, true}) {
+      if (fused) g.fuse_stateless_chains();
+      const std::vector<bool> live = g.live_value_outputs();
+      ASSERT_EQ(live.size(), g.vertices().size());
+      int sources = 0;
+      for (const Vertex& v : g.vertices()) {
+        if (v.kind != VertexKind::kSource) continue;
+        EXPECT_EQ(live[v.id], c.live) << v.name << (fused ? " (fused)" : "");
+        ++sources;
+      }
+      EXPECT_GT(sources, 0);
+    }
+  }
+}
+
+TEST(ValueLivenessTest, ChainSkipsOnlyValueMapsNobodyReads) {
+  std::vector<StatelessStage> stages;
+  for (const auto& op : {drop_key_mod3("b"), affine("a1"),
+                         make_value_filter("pos", [](double v) { return v > 0.0; }),
+                         affine("a2"), drop_key_mod3("c")}) {
+    ASSERT_TRUE(op->collect_stages(stages));
+  }
+  const FusedStatelessChain chain("chain", stages);
+  // a1 feeds the value filter; a2 feeds only the chain's output.
+  EXPECT_EQ(chain.dead_value_maps(false),
+            (std::vector<bool>{false, false, false, true, false}));
+  EXPECT_EQ(chain.dead_value_maps(true), std::vector<bool>(5, false));
+  EXPECT_TRUE(chain.uses_input_values(false));
+  const FusedStatelessChain carry("carry", {stages[0], stages[1], stages[4]});
+  EXPECT_FALSE(carry.uses_input_values(false));
+  EXPECT_TRUE(carry.uses_input_values(true));
+}
+
+// ---------------------------------------------------------------------------
 // Single-site runtime end-to-end.
 // ---------------------------------------------------------------------------
 
@@ -402,6 +612,34 @@ TEST(StreamRuntimeTest, LocalPipelineDeliversRecords) {
   EXPECT_GT(stats.latency_ms.count(), 0u);
   // Local pipeline latency is milliseconds, not seconds.
   EXPECT_LT(stats.latency_ms.quantile(0.5), 1000.0);
+  runtime.stop();
+}
+
+TEST(StreamRuntimeTest, ValueFilterSeesTheValuesItsSourceDraws) {
+  // v > 0 on N(0, 1) keeps about half the records the key filter passes.
+  // The liveness pass must keep these values live through the key filter:
+  // a dead column holds value_mean = 0 everywhere and would keep none.
+  // 3,305 is the survivor count of the full N(0, 1) draws.
+  StableWorld world;
+  JobGraph g;
+  SourceSpec spec;
+  spec.records_per_sec = 1000.0;
+  spec.value_mean = 0.0;
+  spec.value_stddev = 1.0;
+  const auto src = g.add_source("s", kNEU, spec);
+  const auto bots = g.add_operator("bots", kNEU, drop_key_mod3("bots"));
+  const auto pos = g.add_operator(
+      "pos", kNEU, make_value_filter("pos", [](double v) { return v > 0.0; }));
+  const auto sink = g.add_sink("k", kNEU);
+  g.connect(src, bots);
+  g.connect(bots, pos);
+  g.connect(pos, sink);
+
+  NeverBackend backend;
+  StreamRuntime runtime(*world.provider, g, backend, RuntimeConfig{});
+  runtime.start();
+  world.engine.run_until(world.engine.now() + SimDuration::seconds(10));
+  EXPECT_EQ(runtime.sink_stats(sink).records, 3305u);
   runtime.stop();
 }
 
