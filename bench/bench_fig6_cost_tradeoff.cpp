@@ -53,8 +53,9 @@ struct Cell {
 // through the *full control plane* — monitoring, tradeoff solver, multipath
 // planner, adaptive transfer — running region-sharded on
 // sim::ShardedSimEngine (core::ShardedSage). The stable topology plus
-// shard-local lanes make every printed value shard-count invariant, so CI
-// diffs S=1 vs S=4; only the wall clock changes with S.
+// shard-local lanes make every printed value shard-count invariant, so the
+// figure golden holds one sharded table for S=1 and S=4; only the wall
+// clock changes with S.
 
 struct ShardedCell {
   double lambda = 0.0;

@@ -17,13 +17,13 @@
 //   C4 sharded soak       — a long random schedule replayed on the
 //      region-sharded engine at S in {1, 2, 4} with the ChaosInvariants
 //      checker at the end; every row prints identical numbers (faults are
-//      lane-local events, serialized like traffic) and CI diffs the stdout
-//      across harness thread counts.
+//      lane-local events, serialized like traffic), and the figure golden
+//      pins the stdout at every harness thread count.
 //   C5 sharded control plane — full deploy_sage scenarios (the whole SAGE
 //      stack, not just the fabric) on core::ShardedSage at S in {1, 2, 4},
 //      same fault schedule on every lane, plus a `plain` unsharded-baseline
-//      row; S rows are byte-identical and CI diffs the stdout across
-//      --shards and harness thread counts.
+//      row; S rows are byte-identical, and the figure golden pins the
+//      stdout across --shards and harness thread counts.
 //
 // Chaos here is enabled explicitly per controller — this binary IS the
 // chaos experiment. No other bench binary constructs a controller, so
@@ -465,8 +465,8 @@ struct PlaneResult {
 
 /// The C5 fault schedule, shared by the sharded runs and the plain baseline.
 /// Smoke compresses the fault times so they still land inside the (much
-/// shorter) send schedule — the CI determinism diff must exercise the
-/// chaos-on plane, not a healthy run that drains before the first fault.
+/// shorter) send schedule — the smoke golden must exercise the chaos-on
+/// plane, not a healthy run that drains before the first fault.
 FaultPlan plane_plan(SimTime t0, bool smoke) {
   FaultPlan fplan;
   fplan.region_outage(t0 + (smoke ? SimDuration::seconds(25)

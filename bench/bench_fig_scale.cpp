@@ -7,8 +7,8 @@
 // population round-robin over the *declared* WAN pairs, and drives the
 // fabric for a fixed virtual window. Everything printed is simulator state
 // (flow completions, delivered volume, active-link counts), so stdout is
-// byte-identical at any SAGE_BENCH_THREADS — the CI determinism diff runs
-// this grid at 1 and 4 threads. Wall-clock cost per point rides the --json
+// byte-identical at any SAGE_BENCH_THREADS — tests/golden/figures.json pins
+// it at 1 and 4 threads. Wall-clock cost per point rides the --json
 // record; EXPERIMENTS.md tabulates it as the sub-quadratic scaling evidence:
 // fabric state and settlement passes are sized by declared/active links, so
 // cost per flow stays flat from 64 to 256 regions instead of growing with
@@ -23,8 +23,8 @@
 // *stable* topology — per-connection hiccup draws consume fabric RNG in flow
 // start order, which necessarily differs across shardings; zeroed
 // variability removes all RNG influence on rates, making the printed table
-// byte-identical across any shard count AND any worker count. CI diffs
-// shards 1 vs 4 and harness threads 1 vs 4 with shards fixed.
+// byte-identical across any shard count AND any worker count. The figure
+// golden pins the sharded table at shards 1 and 4.
 #include "bench_util.hpp"
 
 #include "cloud/fabric.hpp"
