@@ -632,10 +632,9 @@ BENCHMARK(BM_ZipfDraw)->Arg(0)->Arg(1);
 void BM_SourceBatch(benchmark::State& state) {
   // A bench-local copy of geo-stream's emission: six sources, each with its
   // own Rng, take turns on one shared ZipfSampler(20000, 1.1); each fills a
-  // 1000-record batch, drawing a key and then a value per record. Arg 0
-  // draws normal(1.0, 0.5); arg 1 is the dead-value path, which consumes
-  // the same uniforms through skip_normal() and fills the column with the
-  // mean.
+  // 1000-record batch. Arg 0 draws a key and then normal(1.0, 0.5) per
+  // record; arg 1 is the dead-value path, which draws keys only and fills
+  // the value column with the mean.
   const bool dead_values = state.range(0) == 1;
   constexpr int kSources = 6;
   constexpr std::size_t kBatch = 1000;
@@ -647,10 +646,7 @@ void BM_SourceBatch(benchmark::State& state) {
   for (auto _ : state) {
     for (Rng& rng : rngs) {
       if (dead_values) {
-        for (std::size_t i = 0; i < kBatch; ++i) {
-          keys[i] = static_cast<std::uint64_t>(zipf(rng));
-          rng.skip_normal();
-        }
+        for (std::size_t i = 0; i < kBatch; ++i) keys[i] = static_cast<std::uint64_t>(zipf(rng));
         std::fill(values.begin(), values.end(), 1.0);
       } else {
         for (std::size_t i = 0; i < kBatch; ++i) {

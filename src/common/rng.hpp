@@ -73,36 +73,24 @@ class Rng {
   }
   /// Standard normal via Marsaglia polar (cached spare).
   double normal() {
-    if (spare_s_ >= 0.0) {
-      const double s = spare_s_;
-      spare_s_ = kNoSpare;
-      // A spare left by skip_normal() is still the pair (v, s): evaluate it
-      // now with the same expression the draw below uses.
-      return s == 0.0 ? spare_ : spare_ * polar_scale(s);
+    if (has_spare_) {
+      has_spare_ = false;
+      return spare_;
     }
     double u = 0.0;
     double v = 0.0;
     double s = 0.0;
-    polar_pair(u, v, s);
-    const double m = polar_scale(s);
+    do {
+      u = uniform(-1.0, 1.0);
+      v = uniform(-1.0, 1.0);
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double m = std::sqrt(-2.0 * std::log(s) / s);
     spare_ = v * m;
-    spare_s_ = 0.0;
+    has_spare_ = true;
     return u * m;
   }
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
-  /// Advance exactly as normal() would, without computing the result: it
-  /// consumes the same uniforms and leaves the spare as the lazy pair
-  /// (v, s), so the next normal() that needs it returns the value it would
-  /// have returned anyway. The log and sqrt run only for a spare some caller
-  /// reads.
-  void skip_normal() {
-    if (spare_s_ >= 0.0) {
-      spare_s_ = kNoSpare;
-      return;
-    }
-    double u = 0.0;
-    polar_pair(u, spare_, spare_s_);
-  }
   /// Exponential with the given rate (mean 1/rate).
   double exponential(double rate);
   /// Bernoulli trial.
@@ -113,26 +101,9 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  /// Marsaglia's rejection step: a point (u, v) uniform in the unit disc
-  /// minus the origin, and s = u^2 + v^2.
-  void polar_pair(double& u, double& v, double& s) {
-    do {
-      u = uniform(-1.0, 1.0);
-      v = uniform(-1.0, 1.0);
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-  }
-  static double polar_scale(double s) { return std::sqrt(-2.0 * std::log(s) / s); }
-
-  static constexpr double kNoSpare = -1.0;
-
   std::array<std::uint64_t, 4> s_{};
-  /// The cached second normal of a pair; spare_s_ says what spare_ holds:
-  /// nothing (kNoSpare), the normal itself (0), or the unevaluated v of the
-  /// pair (v, spare_s_) that skip_normal() drew (an accepted s lies in
-  /// (0, 1)). One double encodes all three, so an Rng stays 48 bytes.
   double spare_ = 0.0;
-  double spare_s_ = kNoSpare;
+  bool has_spare_ = false;
 };
 
 /// Zipf-like integers in [0, n) with exponent s (workload key skew), drawn
@@ -172,7 +143,7 @@ class ZipfSampler {
 
   std::int64_t n_;
   bool log_;          // s == 1: the CDF inverts through exp/log
-  double h_ = 0.0;    // normalization: log(n), or (n^oms - 1) / oms
+  double h_ = 0.0;    // normalization: log(n + 1), or ((n + 1)^oms - 1) / oms
   double oms_ = 0.0;  // 1 - s
   double inv_ = 0.0;  // 1 / oms
   /// Keys [0, tabled_) are tabled; cuts_[j] is the first coarse unit of key

@@ -26,10 +26,9 @@ enum class VertexKind : std::uint8_t { kSource, kOperator, kSink };
 /// record count follows the configured rate with fractional accumulation.
 /// Values are N(value_mean, value_stddev) draws while some consumer reads
 /// them (JobGraph::live_value_outputs; an operator that does not say
-/// otherwise reads). When none does, the source still consumes each
-/// value's uniforms (Rng::skip_normal leaves the pair's second normal as a
-/// lazy spare, so later draws are unchanged) and fills the column with
-/// value_mean.
+/// otherwise reads). When none does, the source draws keys only and fills
+/// the value column with value_mean, so the keys a source draws depend on
+/// whether its values are live, which is fixed per graph at start().
 struct SourceSpec {
   double records_per_sec = 1000.0;
   Bytes record_size = Bytes::of(200);

@@ -218,10 +218,10 @@ void StreamRuntime::emit_source(VertexId v) {
   // the loop; skewed sources draw from the runtime's shared ZipfSampler,
   // built at start(). Only the RNG-fed key/value columns fill record by
   // record — the draw order (key, then value, per record) matches the
-  // record-at-a-time form exactly, so generated streams are unchanged —
-  // while the constant event-time and wire columns bulk-fill afterwards.
-  // Dead values still consume their draw (skip_normal), so every key and
-  // every later live value is the one the full draw would give.
+  // record-at-a-time form exactly — while the constant event-time and wire
+  // columns bulk-fill afterwards. A source whose values are dead draws keys
+  // only, so its key stream differs from the same source with live values;
+  // liveness is fixed per graph at start().
   const SimTime now = engine_.now();
   const Bytes rsize = vx.source.record_size;
   const double mean = vx.source.value_mean;
@@ -243,7 +243,6 @@ void StreamRuntime::emit_source(VertexId v) {
     } else {
       for (std::size_t i = kbase; i < kfilled; ++i) {
         kp[i] = static_cast<std::uint64_t>(key_of());
-        rng_.skip_normal();
       }
       for (std::size_t i = kbase; i < kfilled; ++i) vp[i] = mean;
     }

@@ -28,9 +28,9 @@
 //     precomputed at start(), removing an O(edges) scan per dispatch.
 //   * No value work nothing reads: start() asks the graph which outputs
 //     carry live values (JobGraph::live_value_outputs). A source whose
-//     values are dead draws keys as always but skips computing each normal
-//     (Rng::skip_normal keeps the stream of uniforms unchanged), and a value
-//     map whose output is dead skips its pass.
+//     values are dead draws keys only, so its key stream depends on whether
+//     its values are live, which is fixed per graph at start(); a value map
+//     whose output is dead skips its pass.
 #pragma once
 
 #include <array>
@@ -128,8 +128,7 @@ class StreamRuntime {
     /// Skewed sources: the runtime's sampler for their (key_count, key_skew).
     const ZipfSampler* zipf = nullptr;
     /// Sources: whether any consumer reads the value column; when not, the
-    /// source skips computing each value and fills the column with
-    /// value_mean.
+    /// source draws keys only and fills the column with value_mean.
     bool values_live = true;
     /// Cached downcast: non-null when this vertex runs a stateless chain
     /// (the executor walks its stages individually).
