@@ -126,8 +126,9 @@ void run_sharded(BenchContext& ctx, int shards) {
       "region-sharded engine): monitoring samples fan out to every lane at a "
       "uniform report delay, transfers run shard-local lanes with ephemeral "
       "endpoints, and per-lane sample epochs stay in lock-step — so every "
-      "value above is shard-count and worker-count invariant. CI diffs S=1 "
-      "vs S=4; the wall clock (--json) is where S shows up.");
+      "value above is shard-count and worker-count invariant; the figure "
+      "golden pins this table at S=1 and S=4. The wall clock (--json) is "
+      "where S shows up.");
 }
 
 void run(BenchContext& ctx) {

@@ -215,7 +215,8 @@ void run_sharded(BenchContext& ctx, const std::vector<Cell>& grid, int shards) {
       "their source region's shard, depth-1 relays cross shards at WAN "
       "latency (>= the conservative lookahead window), and per-pair max-min "
       "settlement is independent across pairs, so S in {1,2,4,...} prints "
-      "this exact table. CI diffs shards 1 vs 4 and harness threads 1 vs 4.");
+      "this exact table. The figure golden pins it at shards 1 and 4 and "
+      "harness threads 1 and 4.");
 }
 
 void run(BenchContext& ctx) {

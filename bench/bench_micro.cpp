@@ -480,35 +480,39 @@ void BM_KeyedAggregateAoS(benchmark::State& state) {
 BENCHMARK(BM_KeyedAggregateAoS)->Arg(1 << 10)->Arg(1 << 16);
 
 void BM_FusedChain(benchmark::State& state) {
-  // The stateless map/filter chain over one 4096-record batch: per-vertex
-  // execution, each one-stage vertex's process_batch handing its buffer to
-  // an intermediate batch (arg 0), vs the fused four-stage chain (arg 1).
+  // The stateless map/filter chain over one 4096-record batch, through the
+  // runtime's stage loop: per-vertex execution, each one-stage vertex's
+  // pass handing its buffer on to the next vertex's batch (arg 0), vs the
+  // fused four-stage chain over one batch (arg 1).
   const bool fused = state.range(0) != 0;
-  const auto ops = chain_ops();
+  std::vector<std::shared_ptr<const stream::FusedStatelessChain>> chains;
+  for (const auto& op : chain_ops()) {
+    chains.push_back(std::dynamic_pointer_cast<const stream::FusedStatelessChain>(op));
+    SAGE_CHECK(chains.back() != nullptr);
+  }
+  std::vector<stream::StatelessStage> stages;
+  for (const auto& c : chains) {
+    const bool ok = c->collect_stages(stages);
+    SAGE_CHECK(ok);
+  }
+  const stream::FusedStatelessChain whole("fused", std::move(stages));
   const stream::RecordBatch in = chain_input(4096);
-  if (fused) {
-    std::vector<stream::StatelessStage> stages;
-    for (const auto& op : ops) {
-      const bool ok = op->collect_stages(stages);
-      SAGE_CHECK(ok);
-    }
-    stream::FusedStatelessChain chain("fused", std::move(stages));
-    for (auto _ : state) {
-      stream::RecordBatch cur = in;
-      stream::RecordBatch out;
-      chain.process_batch(0, std::move(cur), out);
-      benchmark::DoNotOptimize(out.size());
-    }
-  } else {
-    for (auto _ : state) {
-      stream::RecordBatch cur = in;
-      for (const auto& op : ops) {
+  for (auto _ : state) {
+    stream::RecordBatch cur = in;
+    if (fused) {
+      for (std::size_t s = 0; s < whole.stage_count() && !cur.empty(); ++s) {
+        whole.apply_stage(s, cur);
+      }
+    } else {
+      for (const auto& c : chains) {
+        if (cur.empty()) break;
         stream::RecordBatch next;
-        op->process_batch(0, std::move(cur), next);
+        next.append(std::move(cur));
+        c->apply_stage(0, next);
         cur = std::move(next);
       }
-      benchmark::DoNotOptimize(cur.size());
     }
+    benchmark::DoNotOptimize(cur.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(in.size()));
 }

@@ -20,8 +20,8 @@
 // set_node_failed pattern: advance flows at old rates, mutate, abort
 // doomed flows in id order, re-settle incrementally. Estimator poisoning
 // goes through MonitoringService::ingest_sample — the normal ingestion
-// path, so history, sample hooks and the monotone sample epoch all advance
-// exactly as for a real probe.
+// path, so history and the monotone sample epoch both advance exactly as
+// for a real probe.
 #pragma once
 
 #include <cstdint>

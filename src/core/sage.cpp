@@ -12,16 +12,15 @@ SageEngine::SageEngine(cloud::CloudProvider& provider, SageConfig config)
       engine_(provider.engine()),
       config_(std::move(config)),
       pool_(provider, config_.agent_vm),
-      cost_model_(provider.pricing(), config_.model),
+      // The model, the planner and every transfer run at their default
+      // parameters: the user's one lever is the Tradeoff.
+      cost_model_(provider.pricing(), model::ModelParams{}),
       solver_(cost_model_),
-      planner_(config_.planner) {
+      planner_(sched::PlannerParams{}) {
   SAGE_CHECK_MSG(config_.regions.size() >= 2, "a SAGE deployment spans at least two sites");
   SAGE_CHECK(config_.helpers_per_region >= 0);
   SAGE_CHECK(config_.gateways_per_region >= 1);
   SAGE_CHECK(config_.replan_threshold >= 0.0);
-  // The engine's transfers obey the model's intrusiveness setting; keeping
-  // the two in sync is a class invariant, not a user obligation.
-  config_.transfer.intrusiveness = config_.model.intrusiveness;
   planner_.set_obs(engine_.obs());
   if (obs::Observability* o = engine_.obs(); o != nullptr) {
     obs_replan_skipped_ = o->metrics().counter("sched.replan.skipped");
@@ -195,7 +194,7 @@ void SageEngine::send_with(const model::Tradeoff& tradeoff, cloud::Region src,
   LiveTransfer* raw = live.get();
   auto alive = alive_;
   live->transfer = std::make_unique<net::GeoTransfer>(
-      provider_, size, std::move(lanes), config_.transfer,
+      provider_, size, std::move(lanes), net::TransferConfig{},
       [this, alive, raw, src, dst, size, began,
        done = std::move(done)](const net::TransferResult& r) {
         if (!*alive) return;
@@ -325,7 +324,7 @@ void SageEngine::disseminate(cloud::Region src, const std::vector<cloud::Region>
   const SimTime began = engine_.now();
   auto alive = alive_;
   live_trees_.push_back(std::make_unique<net::TreeTransfer>(
-      provider_, size, std::move(nodes), config_.transfer,
+      provider_, size, std::move(nodes), net::TransferConfig{},
       [alive, done = std::move(done), node_region, edge_count,
        began](const net::TreeResult& r) {
         if (!*alive) return;

@@ -52,9 +52,6 @@ struct SageConfig {
   /// VM size for agents, gateways and helpers.
   cloud::VmSize agent_vm = cloud::VmSize::kSmall;
 
-  model::ModelParams model;
-  sched::PlannerParams planner;
-  net::TransferConfig transfer;
   /// Set `monitoring.lane` to make this engine one lane of a sharded
   /// control plane (ShardedSage sets it; plain deployments leave it unset).
   /// A lane keeps each transfer's traffic where only the source region's

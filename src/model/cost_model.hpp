@@ -61,8 +61,6 @@ class CostModel {
  public:
   CostModel(cloud::PricingModel pricing, ModelParams params);
 
-  [[nodiscard]] const ModelParams& params() const { return params_; }
-
   /// Parallel speedup factor 1 + (n−1)·gain.
   [[nodiscard]] double speedup(int nodes) const;
 

@@ -11,6 +11,8 @@ namespace {
 
 /// NIC rate of a shard lane's dedicated probe endpoints.
 constexpr ByteRate kProbeNic = ByteRate::mb_per_sec(125.0);
+/// Payload of one bandwidth probe.
+constexpr Bytes kProbeSize = Bytes::mb(8);
 
 }  // namespace
 
@@ -82,7 +84,7 @@ void MonitoringService::register_agent(cloud::Region region, cloud::VmId vm) {
   agents_[cloud::region_index(region)] = vm;
 
   auto& cpu = cpu_[cloud::region_index(region)];
-  if (!cpu) cpu = make_estimator(config_.kind, config_.estimator);
+  if (!cpu) cpu = make_estimator(config_.kind, EstimatorConfig{});
   maybe_create_pairs();
 }
 
@@ -100,7 +102,7 @@ void MonitoringService::maybe_create_pairs() {
     auto link = std::make_unique<LinkMonitor>();
     link->src = a;
     link->dst = b;
-    link->estimator = make_estimator(config_.kind, config_.estimator);
+    link->estimator = make_estimator(config_.kind, EstimatorConfig{});
     LinkMonitor* raw = link.get();
     // Sharded lanes probe only the pairs they own; the monitor itself is
     // created unconditionally so links_ (stagger order, matrix shape) is
@@ -171,8 +173,7 @@ void MonitoringService::probe_link(LinkMonitor& link) {
   if (!src_vm || !dst_vm) return;
   if (!provider_.is_active(*src_vm) || !provider_.is_active(*dst_vm)) return;
 
-  if (config_.suspend_when_busy &&
-      provider_.fabric().pair_flow_count(link.src, link.dst) > 0) {
+  if (provider_.fabric().pair_flow_count(link.src, link.dst) > 0) {
     // The link is carrying real transfers; their achieved rates arrive via
     // report_transfer_observation instead, for free.
     ++probes_suspended_;
@@ -193,11 +194,11 @@ void MonitoringService::probe_link(LinkMonitor& link) {
     // Dedicated endpoints: the probe exercises the same WAN pair link but
     // never shares a NIC with another pair's probe or with agent traffic.
     provider_.fabric().start_flow(link.probe_src_node, link.probe_dst_node,
-                                  config_.probe_size, cloud::FlowOptions{},
+                                  kProbeSize, cloud::FlowOptions{},
                                   std::move(on_done));
     return;
   }
-  provider_.transfer(*src_vm, *dst_vm, config_.probe_size, cloud::FlowOptions{},
+  provider_.transfer(*src_vm, *dst_vm, kProbeSize, cloud::FlowOptions{},
                      std::move(on_done));
 }
 
@@ -226,7 +227,6 @@ void MonitoringService::ingest(LinkMonitor& link, double mbps) {
     link.history.push_back(Sample{engine_.now(), mbps});
     if (link.history.size() > config_.history_capacity) link.history.pop_front();
   }
-  if (hook_) hook_(link.src, link.dst, engine_.now(), mbps);
 }
 
 std::vector<Sample> MonitoringService::history(cloud::Region src, cloud::Region dst) const {

@@ -121,17 +121,14 @@ struct ShardLane {
   std::function<void(cloud::Region, cloud::Region, double)> relay;
 };
 
+/// Every estimator runs at its default EstimatorConfig and every bandwidth
+/// probe carries 8 MB.
 struct MonitorConfig {
   EstimatorKind kind = EstimatorKind::kWeighted;
-  EstimatorConfig estimator;
   /// Interval between probes of the same link.
   SimDuration probe_interval = SimDuration::minutes(5);
-  /// Payload of one bandwidth probe.
-  Bytes probe_size = Bytes::mb(8);
   /// Interval between CPU benchmarks on each agent VM.
   SimDuration cpu_probe_interval = SimDuration::minutes(2);
-  /// Suspend active probes while the link carries transfer flows.
-  bool suspend_when_busy = true;
   /// Samples retained per link for profiling / introspection (the "tracked
   /// logs" scientists use to understand their cloud application and the
   /// base of the self-healing loop). 0 disables history.
@@ -142,11 +139,6 @@ struct MonitorConfig {
 
 class MonitoringService {
  public:
-  /// Callback fired for every accepted bandwidth sample (experiments hook
-  /// this to record traces): (src, dst, time, MB/s).
-  using SampleHook =
-      std::function<void(cloud::Region, cloud::Region, SimTime, double)>;
-
   MonitoringService(cloud::CloudProvider& provider, MonitorConfig config);
   ~MonitoringService();
   MonitoringService(const MonitoringService&) = delete;
@@ -166,8 +158,8 @@ class MonitoringService {
                                    ByteRate per_flow);
 
   /// Ingest a raw sample of `mbps` into the pair's estimator now, through
-  /// the normal pipeline: history, sample hook and the monotone sample epoch
-  /// all advance exactly as for a real probe. Returns false (and does
+  /// the normal pipeline: history and the monotone sample epoch both
+  /// advance exactly as for a real probe. Returns false (and does
   /// nothing) when the pair is unmonitored. Never report-delayed: a shard
   /// lane's remote samples arrive through the sharded relay, which already
   /// applied the delay, and the chaos layer's estimator poisoning replicates
@@ -193,8 +185,6 @@ class MonitoringService {
 
   /// Estimated CPU factor of the agent VM in `region` (nominal 1.0).
   [[nodiscard]] double cpu_estimate(cloud::Region region) const;
-
-  void set_sample_hook(SampleHook hook) { hook_ = std::move(hook); }
 
   /// Recorded samples for a link, oldest first (empty when unmonitored or
   /// history is disabled).
@@ -232,7 +222,7 @@ class MonitoringService {
   void probe_link(LinkMonitor& link);
   void run_cpu_probe(cloud::Region region);
   /// Common ingestion for probe results and transfer observations: feeds
-  /// the estimator, the history ring, the epoch and the sample hook.
+  /// the estimator, the history ring and the epoch.
   void ingest(LinkMonitor& link, double mbps);
   /// Routes a freshly produced sample: immediate ingestion on a plain
   /// service; on a shard lane, fires the relay at production time and
@@ -261,7 +251,6 @@ class MonitoringService {
   std::vector<std::int32_t> pair_slot_;  // sized region_count_²
   std::vector<std::unique_ptr<Estimator>> cpu_;  // sized region_count_
   std::vector<std::unique_ptr<sim::PeriodicTask>> cpu_tasks_;
-  SampleHook hook_;
   bool running_ = false;
   std::uint64_t probes_sent_ = 0;
   std::uint64_t probes_suspended_ = 0;

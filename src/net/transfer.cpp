@@ -7,6 +7,16 @@
 
 namespace sage::net {
 
+namespace {
+
+/// An unacknowledged chunk is retransmitted after this multiple of its
+/// service time at a conservative 1 MB/s, floored at kTimeoutFloor and
+/// doubled per failed attempt (congestion backoff).
+constexpr double kTimeoutFactor = 10.0;
+constexpr SimDuration kTimeoutFloor = SimDuration::seconds(8);
+
+}  // namespace
+
 std::vector<Lane> direct_lane(cloud::VmId src, cloud::VmId dst) {
   return {Lane{{src, dst}}};
 }
@@ -125,10 +135,9 @@ void GeoTransfer::cancel() {
 Bytes GeoTransfer::delivered() const { return delivered_bytes_; }
 
 SimDuration GeoTransfer::chunk_timeout() const {
-  // Expected service time at a conservative 1 MB/s floor rate.
   const SimDuration expected =
-      ByteRate::mb_per_sec(1.0).time_for(config_.chunk_size) * config_.timeout_factor;
-  return std::max(expected, config_.timeout_floor);
+      ByteRate::mb_per_sec(1.0).time_for(config_.chunk_size) * kTimeoutFactor;
+  return std::max(expected, kTimeoutFloor);
 }
 
 cloud::FlowOptions GeoTransfer::hop_flow_options(cloud::VmId sender) const {
@@ -252,7 +261,6 @@ void GeoTransfer::send_hop(const std::shared_ptr<LaneState>& lane, int chunk,
 }
 
 void GeoTransfer::arm_timeout(int chunk) {
-  if (!config_.acknowledgements) return;
   auto alive = alive_;
   // Exponential backoff across attempts: under heavy congestion every
   // chunk is slow, and retransmitting on a fixed deadline only adds load —
@@ -263,9 +271,7 @@ void GeoTransfer::arm_timeout(int chunk) {
   engine_.schedule_after(chunk_timeout() * static_cast<double>(1 << shift),
                          [this, alive, chunk] {
     if (!*alive || finished_) return;
-    ChunkState& cs = chunks_[static_cast<std::size_t>(chunk)];
-    const bool settled = config_.acknowledgements ? cs.acked : cs.delivered;
-    if (settled) return;
+    if (chunks_[static_cast<std::size_t>(chunk)].acked) return;
     ++stats_.retransmissions;
     if (obs_retransmissions_ != nullptr) obs_retransmissions_->add();
     requeue(chunk, /*count_attempt=*/true);
@@ -297,11 +303,6 @@ void GeoTransfer::on_delivered(LaneState& lane, int chunk) {
     }
   }
 
-  if (!config_.acknowledgements) {
-    ++completed_;
-    maybe_finish();
-    return;
-  }
   // End-to-end acknowledgement: one-way control message back to the source.
   const cloud::VmId src = lane.lane.path.front();
   const cloud::VmId dst = lane.lane.path.back();

@@ -47,14 +47,6 @@ struct TransferConfig {
   /// 1.0 = dedicated transfer VMs (the comparison setting); shared-VM
   /// deployments use 0.05-0.20 (the intrusiveness experiment's range).
   double intrusiveness = 1.0;
-  /// End-to-end acknowledgements (per chunk). Disabling removes the ack
-  /// round-trip but forfeits loss recovery accounting.
-  bool acknowledgements = true;
-  /// Unacknowledged chunks are retransmitted after this multiple of the
-  /// chunk's expected service time (floored at `timeout_floor`), doubling
-  /// per failed attempt (congestion backoff).
-  double timeout_factor = 10.0;
-  SimDuration timeout_floor = SimDuration::seconds(8);
   /// Give up on a chunk after this many failed/timed-out attempts.
   int max_attempts = 5;
 };
@@ -178,7 +170,7 @@ class GeoTransfer {
   Bytes delivered_bytes_;
   bool running_ = false;
   bool finished_ = false;
-  int completed_ = 0;  // chunks acked (or delivered, when acks are off)
+  int completed_ = 0;  // chunks acknowledged
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   // Observability (all null/zero when the engine has obs disabled).

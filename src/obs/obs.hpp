@@ -18,14 +18,15 @@
 namespace sage::obs {
 
 struct ObsConfig {
-  bool tracing = true;               // metrics are always on when obs is on
-  std::size_t trace_capacity = 8192; // ring slots; oldest spans drop on wrap
+  /// Metrics are always on when obs is on. The trace ring keeps TraceSink's
+  /// default 8192 slots; the oldest spans drop on wrap.
+  bool tracing = true;
 };
 
 class Observability {
  public:
   explicit Observability(const ObsConfig& config) {
-    if (config.tracing) tracer_ = std::make_unique<TraceSink>(config.trace_capacity);
+    if (config.tracing) tracer_ = std::make_unique<TraceSink>();
   }
 
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }

@@ -37,19 +37,6 @@ void FusedStatelessChain::process(int port, const RecordBatch& in, RecordBatch& 
   }
 }
 
-void FusedStatelessChain::process_batch(int port, RecordBatch&& in, RecordBatch& out) {
-  SAGE_CHECK_MSG(port == 0, "fused chain has a single input port");
-  SAGE_CHECK_MSG(out.empty(), "process_batch writes into an empty batch");
-  out.append(std::move(in));
-  // Stage-at-a-time over the one buffer: no intermediate batch is ever
-  // materialized, and each tight per-stage loop keeps a single indirect
-  // call target (record-at-a-time cycling through the stages defeats
-  // indirect-branch prediction and measures ~30% slower).
-  for (std::size_t i = 0; i < stages_.size() && !out.empty(); ++i) {
-    apply_stage(i, out);
-  }
-}
-
 double FusedStatelessChain::cost_per_record() const {
   double sum = 0.0;
   for (const StatelessStage& s : stages_) sum += s.cost;

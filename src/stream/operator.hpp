@@ -13,11 +13,11 @@
 //
 // Two hot-path mechanisms keep the data plane cheap:
 //
-//   * `process_batch` consumes the input batch by value. The one stateless
-//     operator, `FusedStatelessChain` (every map and filter factory builds
-//     a one-stage chain), overrides it to transform the batch in place — no
-//     intermediate RecordBatch is materialized and the input buffer flows
-//     through to the output.
+//   * The one stateless operator, `FusedStatelessChain` (every map and
+//     filter factory builds a one-stage chain), transforms the batch in
+//     place, one stage pass at a time (`apply_stage`) — no intermediate
+//     RecordBatch is materialized and the input buffer flows through to
+//     the output.
 //   * Adjacent stateless vertices are collapsed by
 //     `JobGraph::fuse_stateless_chains()` into one chain that runs every
 //     stage over the same buffer. Operators advertise fusibility via
@@ -94,6 +94,33 @@ BatchApplyFn make_value_map_kernel(F f) {
 
 namespace detail {
 
+/// The scalar compaction loop: rows [i, n) decide their fate in order,
+/// survivors slide forward to the write cursor `w` (always <= i, so stable
+/// and in-place safe) and their wire bytes add to `total`; then the batch is
+/// cut to its survivors. The whole pass on hosts without AVX2, and the tail
+/// of the AVX2 body.
+template <class Pred>
+inline void compact_rows(RecordBatch& batch, std::size_t i, std::size_t w,
+                         std::int64_t total, Pred& keep_row) {
+  const std::size_t n = batch.size();
+  SimTime* t = batch.event_times().data();
+  std::uint64_t* k = batch.keys().data();
+  double* v = batch.values().data();
+  Bytes* wire = batch.wire_sizes().data();
+  for (; i < n; ++i) {
+    if (keep_row(i)) {
+      t[w] = t[i];
+      k[w] = k[i];
+      v[w] = v[i];
+      wire[w] = wire[i];
+      total += wire[i].count();
+      ++w;
+    }
+  }
+  batch.truncate(w);
+  batch.set_wire_size(Bytes::of(total));
+}
+
 #ifdef SAGE_COMPACT_AVX2
 /// One-time CPUID probe for the AVX2 left-packing compaction.
 inline bool avx2_available() {
@@ -136,7 +163,7 @@ inline const CompactLut& compact_lut() {
 }
 
 /// Branchless 4-wide compaction body. The predicate still runs scalar, row
-/// by row in order (bit-identical to the reference loop); only the data
+/// by row in order (bit-identical to the scalar loop); only the data
 /// movement is vectorized: a 4-bit keep mask picks a permutation that left-
 /// packs the group's lanes in all four columns, stores land unconditionally
 /// at the write cursor (lanes past the survivor count hold duplicates that
@@ -145,16 +172,21 @@ inline const CompactLut& compact_lut() {
 /// re-associated sum equals the scalar running sum exactly. This removes
 /// the one data-dependent branch per row, whose ~10-30% mispredict rate
 /// under typical filter selectivities dominates the scalar loop's cost.
+/// The last n % 4 rows run through compact_rows.
 ///
 /// In-place safety: all reads of group [i, i+4) happen before its stores,
 /// and stores never touch positions >= i+4 (w <= i always), so later
 /// groups read untouched input.
 template <class Pred>
-__attribute__((target("avx2"))) inline std::size_t compact_columns_avx2(
-    SimTime* t, std::uint64_t* k, double* v, Bytes* wire, std::size_t n,
-    std::int64_t* total_out, Pred& keep_row) {
+__attribute__((target("avx2"))) inline void compact_columns_avx2(RecordBatch& batch,
+                                                                 Pred& keep_row) {
   static_assert(std::is_trivially_copyable_v<SimTime> && sizeof(SimTime) == 8);
   static_assert(std::is_trivially_copyable_v<Bytes> && sizeof(Bytes) == 8);
+  const std::size_t n = batch.size();
+  SimTime* t = batch.event_times().data();
+  std::uint64_t* k = batch.keys().data();
+  double* v = batch.values().data();
+  Bytes* wire = batch.wire_sizes().data();
   const CompactLut& lut = compact_lut();
   __m256i acc = _mm256_setzero_si256();
   std::size_t w = 0;
@@ -188,59 +220,25 @@ __attribute__((target("avx2"))) inline std::size_t compact_columns_avx2(
   }
   alignas(32) std::int64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) {
-    if (keep_row(i)) {
-      t[w] = t[i];
-      k[w] = k[i];
-      v[w] = v[i];
-      wire[w] = wire[i];
-      total += wire[i].count();
-      ++w;
-    }
-  }
-  *total_out = total;
-  return w;
+  compact_rows(batch, i, w, lanes[0] + lanes[1] + lanes[2] + lanes[3], keep_row);
 }
 #endif  // SAGE_COMPACT_AVX2
 
-/// Shared single-pass compaction: `keep_row(i)` decides row i's fate and
-/// survivors slide forward to the write cursor (always <= the read cursor,
-/// so stable and in-place safe). All four columns move in the same pass —
-/// one predicate evaluation per row — and the wire-byte total is re-summed
-/// from the survivors as they land. On AVX2 hardware the data movement runs
-/// through the branchless left-packing body above; the scalar loop is the
-/// reference (and tail/fallback) form. Both produce identical batches and
-/// identical wire totals.
+/// Shared single-pass compaction: `keep_row(i)` decides row i's fate, all
+/// four columns move in the same pass — one predicate evaluation per row —
+/// and the wire-byte total is re-summed from the survivors as they land.
+/// On AVX2 hardware batches of 8 rows or more take the branchless body
+/// above; both paths produce identical batches and identical wire totals
+/// (CompactColumnsTest holds them to each other).
 template <class Pred>
 inline void compact_columns(RecordBatch& batch, Pred keep_row) {
-  const std::size_t n = batch.size();
-  SimTime* t = batch.event_times().data();
-  std::uint64_t* k = batch.keys().data();
-  double* v = batch.values().data();
-  Bytes* wire = batch.wire_sizes().data();
-  std::size_t w = 0;
-  std::int64_t total = 0;
 #ifdef SAGE_COMPACT_AVX2
-  if (n >= 8 && avx2_available()) {
-    w = compact_columns_avx2(t, k, v, wire, n, &total, keep_row);
-    batch.truncate(w);
-    batch.set_wire_size(Bytes::of(total));
+  if (batch.size() >= 8 && avx2_available()) {
+    compact_columns_avx2(batch, keep_row);
     return;
   }
 #endif
-  for (std::size_t i = 0; i < n; ++i) {
-    if (keep_row(i)) {
-      t[w] = t[i];
-      k[w] = k[i];
-      v[w] = v[i];
-      wire[w] = wire[i];
-      total += wire[i].count();
-      ++w;
-    }
-  }
-  batch.truncate(w);
-  batch.set_wire_size(Bytes::of(total));
+  compact_rows(batch, 0, 0, 0, keep_row);
 }
 
 }  // namespace detail
@@ -303,13 +301,6 @@ class Operator {
   /// Transform one input batch into output records (appended to `out`).
   virtual void process(int port, const RecordBatch& in, RecordBatch& out) = 0;
 
-  /// Owning variant of `process`: the operator may consume `in` (steal its
-  /// buffer, transform in place). `out` must be empty. Default: delegate to
-  /// `process`, leaving `in` intact for the caller to recycle.
-  virtual void process_batch(int port, RecordBatch&& in, RecordBatch& out) {
-    process(port, in, out);
-  }
-
   /// Emit time-driven output (window closes). Default: none.
   virtual void on_timer(SimTime now, RecordBatch& out) {
     (void)now;
@@ -363,7 +354,6 @@ class FusedStatelessChain final : public Operator {
   /// `map` / `filter` and survivors append to `out`. Tests hold the batch
   /// passes to it; the runtime never calls it.
   void process(int port, const RecordBatch& in, RecordBatch& out) override;
-  void process_batch(int port, RecordBatch&& in, RecordBatch& out) override;
   /// Sum of stage costs — the chain's worst-case per-record work; the
   /// runtime's stage-wise path uses the exact per-stage costs instead.
   [[nodiscard]] double cost_per_record() const override;

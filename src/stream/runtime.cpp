@@ -10,6 +10,10 @@ namespace {
 /// Free-list cap: enough to cover every vertex queue in the biggest figure
 /// topologies without letting a transient burst pin memory forever.
 constexpr std::size_t kMaxPooledBatches = 128;
+/// VM size leased per site.
+constexpr cloud::VmSize kSiteVm = cloud::VmSize::kMedium;
+/// Abstract work units per second a compute-factor-1.0 core processes.
+constexpr double kWorkUnitsPerSec = 2e6;
 }  // namespace
 
 StreamRuntime::StreamRuntime(cloud::CloudProvider& provider, JobGraph graph,
@@ -43,7 +47,7 @@ void StreamRuntime::start() {
   site_vms_.assign(provider_.topology().region_count(), std::nullopt);
   for (cloud::Region site : graph_.sites_used()) {
     site_vms_[cloud::region_index(site)] =
-        provider_.provision(site, config_.site_vm).id;
+        provider_.provision(site, kSiteVm).id;
   }
 
   const std::vector<bool> live = graph_.live_value_outputs();
@@ -197,9 +201,9 @@ void StreamRuntime::recycle(RecordBatch&& batch) {
 SimDuration StreamRuntime::compute_delay(cloud::Region site, double work_units) const {
   const cloud::VmId vm = site_vm(site);
   const double cpu = provider_.is_active(vm) ? provider_.vm_cpu_factor(vm) : 1.0;
-  const double spec_factor = cloud::vm_spec(config_.site_vm).compute_factor;
+  const double spec_factor = cloud::vm_spec(kSiteVm).compute_factor;
   return SimDuration::seconds(
-      work_units / (config_.work_units_per_sec * spec_factor * std::max(cpu, 0.05)));
+      work_units / (kWorkUnitsPerSec * spec_factor * std::max(cpu, 0.05)));
 }
 
 void StreamRuntime::emit_source(VertexId v) {
@@ -433,7 +437,7 @@ void StreamRuntime::process_next(VertexId v) {
     if (!*alive || !running_) return;
     const Vertex& vx2 = graph_.vertex(v);
     RecordBatch out = acquire_batch();
-    vx2.op->process_batch(work.port, std::move(work.batch), out);
+    vx2.op->process(work.port, work.batch, out);
     recycle(std::move(work.batch));
     if (!out.empty()) {
       dispatch_outputs(v, std::move(out));

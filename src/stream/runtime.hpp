@@ -21,9 +21,9 @@
 //     stage's CPU cost separately — one simulated delay per stage, CPU
 //     factor sampled at every stage boundary — so fusion changes
 //     wall-clock speed, never simulated timing.
-//   * Batches move, never copy: operators consume their input via
-//     process_batch, the geo-batcher steals buffers, and drained batches
-//     return to a free-list pool instead of the allocator.
+//   * Batches move, never copy: a chain rewrites its batch in place, the
+//     geo-batcher steals buffers, and drained batches return to a
+//     free-list pool instead of the allocator.
 //   * Per-vertex out-edge adjacency (with resolved geo-batcher pointers) is
 //     precomputed at start(), removing an O(edges) scan per dispatch.
 //   * No value work nothing reads: start() asks the graph which outputs
@@ -51,11 +51,9 @@
 
 namespace sage::stream {
 
+/// Site VMs are Medium leases whose compute-factor-1.0 core processes 2e6
+/// work units per second.
 struct RuntimeConfig {
-  /// VM size leased per site.
-  cloud::VmSize site_vm = cloud::VmSize::kMedium;
-  /// Abstract work units per second a compute-factor-1.0 core processes.
-  double work_units_per_sec = 2e6;
   /// Geo-batcher flush thresholds.
   Bytes geo_batch_max_bytes = Bytes::mb(4);
   SimDuration geo_batch_max_delay = SimDuration::seconds(1);

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -101,7 +100,6 @@ TEST_F(MonitoringFixture, TransferObservationsFeedTheMap) {
 
 TEST_F(MonitoringFixture, BusyLinkSuspendsProbes) {
   config.probe_interval = SimDuration::seconds(30);
-  config.suspend_when_busy = true;
   auto service = make({kNEU, kNUS});
   service->start();
   // Saturate the link with a long foreign transfer.
@@ -123,20 +121,6 @@ TEST_F(MonitoringFixture, StopHaltsProbing) {
   const auto sent = service->probes_sent();
   world.engine.run_until(world.engine.now() + SimDuration::minutes(30));
   EXPECT_EQ(service->probes_sent(), sent);
-}
-
-TEST_F(MonitoringFixture, SampleHookSeesEverySample) {
-  config.probe_interval = SimDuration::minutes(1);
-  auto service = make({kNEU, kNUS});
-  int hook_calls = 0;
-  service->set_sample_hook(
-      [&](Region, Region, SimTime, double mbps) {
-        ++hook_calls;
-        EXPECT_GT(mbps, 0.0);
-      });
-  service->start();
-  world.engine.run_until(world.engine.now() + SimDuration::minutes(10));
-  EXPECT_GT(hook_calls, 0);
 }
 
 TEST_F(MonitoringFixture, CpuEstimateIsNearNominal) {
@@ -200,17 +184,11 @@ TEST_F(MonitoringFixture, CachedSnapshotRefreshesTakenAtAndTracksNow) {
 }
 
 TEST_F(MonitoringFixture, CachedSnapshotsMatchOracleEstimatorsExactly) {
-  // Oracle: a test-side estimator per pair, fed every accepted sample
-  // through the sample hook. Each snapshot entry must equal its oracle's
-  // stats to the last bit, however many rebuilds the cache skipped.
+  // Oracle: a fresh estimator per pair, rebuilt at every read from each
+  // sample the pair's history recorded. Each snapshot entry must equal its
+  // oracle's stats to the last bit, however many rebuilds the cache skipped.
   config.probe_interval = SimDuration::minutes(1);
   auto service = make({kNEU, kNUS, kWEU});
-  std::map<std::pair<Region, Region>, std::unique_ptr<Estimator>> oracle;
-  service->set_sample_hook([&](Region a, Region b, SimTime t, double mbps) {
-    std::unique_ptr<Estimator>& e = oracle[{a, b}];
-    if (!e) e = make_estimator(config.kind, config.estimator);
-    e->add_sample(t, mbps);
-  });
   service->start();
   Rng rng(29);
   const Region regions[] = {kNEU, kNUS, kWEU};
@@ -229,14 +207,19 @@ TEST_F(MonitoringFixture, CachedSnapshotsMatchOracleEstimatorsExactly) {
       const ThroughputMatrix& m = service->snapshot();
       for (Region x : regions) {
         for (Region y : regions) {
-          const auto it = oracle.find({x, y});
-          if (it == oracle.end()) {
+          const std::vector<Sample> seen = service->history(x, y);
+          if (seen.empty()) {
             EXPECT_EQ(m.at(x, y).samples, 0u);
             continue;
           }
-          EXPECT_EQ(m.at(x, y).mean_mbps, it->second->mean());
-          EXPECT_EQ(m.at(x, y).stddev_mbps, it->second->stddev());
-          EXPECT_EQ(m.at(x, y).samples, it->second->sample_count());
+          // The ring never wrapped, so it holds every accepted sample.
+          ASSERT_LT(seen.size(), config.history_capacity);
+          const std::unique_ptr<Estimator> oracle =
+              make_estimator(config.kind, EstimatorConfig{});
+          for (const Sample& sample : seen) oracle->add_sample(sample.at, sample.mbps);
+          EXPECT_EQ(m.at(x, y).mean_mbps, oracle->mean());
+          EXPECT_EQ(m.at(x, y).stddev_mbps, oracle->stddev());
+          EXPECT_EQ(m.at(x, y).samples, oracle->sample_count());
         }
       }
     }
@@ -301,10 +284,6 @@ TEST_F(LaneFixture, IngestsEachSampleReportDelayAfterItsRelay) {
   config.probe_interval = SimDuration::minutes(1);
   config.lane = neu_lane();
   auto service = make({kNEU, kNUS});
-  std::vector<Seen> hooked;
-  service->set_sample_hook([&](Region src, Region dst, SimTime at, double mbps) {
-    hooked.push_back({src, dst, at, mbps});
-  });
   service->start();
 
   // Stop on the event that produced the first sample: the relay fired, but
@@ -315,40 +294,50 @@ TEST_F(LaneFixture, IngestsEachSampleReportDelayAfterItsRelay) {
   EXPECT_EQ(service->sample_epoch(), 0u);
   world.engine.run_until(t0 + kDelay - SimDuration::micros(1));
   EXPECT_EQ(service->sample_epoch(), 0u);
-  EXPECT_TRUE(hooked.empty());
+  EXPECT_TRUE(service->history(relayed.front().src, relayed.front().dst).empty());
   world.engine.run_until(t0 + kDelay);
   EXPECT_GE(service->sample_epoch(), 1u);
-  ASSERT_FALSE(hooked.empty());
-  EXPECT_EQ(hooked.front().at, t0 + kDelay);
+  const std::vector<Sample> first =
+      service->history(relayed.front().src, relayed.front().dst);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first.front().at, t0 + kDelay);
 
   world.engine.run_until(world.engine.now() + SimDuration::minutes(20));
   drain(*service);
   // Every relayed sample is ingested once, in production order, with its
   // value, exactly kDelay after its relay fired.
-  ASSERT_EQ(hooked.size(), relayed.size());
   EXPECT_EQ(service->sample_epoch(), relayed.size());
-  for (std::size_t i = 0; i < relayed.size(); ++i) {
-    EXPECT_EQ(hooked[i].src, relayed[i].src);
-    EXPECT_EQ(hooked[i].dst, relayed[i].dst);
-    EXPECT_EQ(hooked[i].at, relayed[i].at + kDelay);
-    EXPECT_EQ(hooked[i].mbps, relayed[i].mbps);
+  std::size_t ingested = 0;
+  for (Region src : {kNEU, kNUS}) {
+    for (Region dst : {kNEU, kNUS}) {
+      std::vector<Seen> want;
+      for (const Seen& r : relayed) {
+        if (r.src == src && r.dst == dst) want.push_back(r);
+      }
+      const std::vector<Sample> got = service->history(src, dst);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].at, want[i].at + kDelay);
+        EXPECT_EQ(got[i].mbps, want[i].mbps);
+      }
+      ingested += got.size();
+    }
   }
+  EXPECT_EQ(ingested, relayed.size());
 }
 
 TEST_F(LaneFixture, IngestSampleIsImmediateAndNeverRelays) {
   config.lane = neu_lane();
   auto service = make({kNEU, kNUS});
-  std::vector<Seen> hooked;
-  service->set_sample_hook([&](Region src, Region dst, SimTime at, double mbps) {
-    hooked.push_back({src, dst, at, mbps});
-  });
   world.engine.run_until(world.engine.now() + SimDuration::seconds(10));
 
   // A sample relayed from the lane that owns NUS.
   EXPECT_TRUE(service->ingest_sample(kNUS, kNEU, 123.0));
   EXPECT_EQ(service->sample_epoch(), 1u);
-  ASSERT_EQ(hooked.size(), 1u);
-  EXPECT_EQ(hooked.front().at, world.engine.now());
+  const std::vector<Sample> seen = service->history(kNUS, kNEU);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen.front().at, world.engine.now());
+  EXPECT_EQ(seen.front().mbps, 123.0);
   const LinkEstimate est = service->estimate(kNUS, kNEU);
   EXPECT_EQ(est.samples, 1u);
   EXPECT_NEAR(est.mean_mbps, 123.0, 1e-9);
@@ -358,7 +347,8 @@ TEST_F(LaneFixture, IngestSampleIsImmediateAndNeverRelays) {
   EXPECT_FALSE(service->ingest_sample(kNEU, kNEU, 50.0));
   EXPECT_FALSE(service->ingest_sample(kNEU, kWEU, 50.0));
   EXPECT_EQ(service->sample_epoch(), 1u);
-  EXPECT_EQ(hooked.size(), 1u);
+  EXPECT_EQ(service->history(kNUS, kNEU).size(), 1u);
+  EXPECT_TRUE(service->history(kNEU, kNUS).empty());
 }
 
 TEST_F(LaneFixture, ConstructorChecksTheLane) {

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "stream/graph.hpp"
 #include "stream/operator.hpp"
 #include "stream/runtime.hpp"
@@ -132,11 +133,13 @@ TEST(FusedChainTest, MatchesPerOperatorSemantics) {
 
   RecordBatch got_copy;
   chain.process(0, in, got_copy);
-  RecordBatch got_owned;
-  RecordBatch owned_in = in;
-  chain.process_batch(0, std::move(owned_in), got_owned);
+  // The runtime's stage loop over one buffer.
+  RecordBatch got_staged = in;
+  for (std::size_t s = 0; s < chain.stage_count() && !got_staged.empty(); ++s) {
+    chain.apply_stage(s, got_staged);
+  }
 
-  for (const RecordBatch* got : {&got_copy, &got_owned}) {
+  for (const RecordBatch* got : {&got_copy, &got_staged}) {
     ASSERT_EQ(got->size(), want.size());
     EXPECT_EQ(got->wire_size(), want.wire_size());
     for (std::size_t i = 0; i < want.size(); ++i) {
@@ -321,6 +324,47 @@ TEST(FusedChainTest, BatchPassesMatchRowAtATimeOracle) {
     }
   }
   EXPECT_FALSE(batch.empty());
+}
+
+// On an AVX2 host detail::compact_columns runs the scalar loop only below 8
+// rows and in the AVX2 body's tail, yet the scalar loop is the whole pass on
+// every other host. Hold both paths, at every size from 0 to 67 and keep
+// rates from none to all, on random columns and wire sizes, to the survivors
+// in order with their exact wire total.
+TEST(CompactColumnsTest, ScalarAndAvx2PathsKeepTheSameRows) {
+#ifndef SAGE_COMPACT_AVX2
+  GTEST_SKIP() << "this build has no AVX2 compaction path";
+#else
+  if (!detail::avx2_available()) GTEST_SKIP() << "this host has no AVX2";
+  Rng rng(67);
+  for (std::int64_t keep_pct : {0, 10, 25, 50, 75, 90, 100}) {
+    for (std::size_t n = 0; n < 68; ++n) {
+      RecordBatch batch;
+      RecordBatch want;
+      std::vector<bool> keep(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Record r{SimTime::from_micros(rng.uniform_int(0, 1'000'000)), rng.next_u64(),
+                       rng.uniform(-1e3, 1e3), Bytes::of(rng.uniform_int(1, 4096))};
+        batch.add(r);
+        keep[i] = rng.uniform_int(0, 99) < keep_pct;
+        if (keep[i]) want.add(r);
+      }
+      const auto keep_row = [&](std::size_t i) { return static_cast<bool>(keep[i]); };
+      RecordBatch scalar = batch;
+      detail::compact_rows(scalar, 0, 0, 0, keep_row);
+      RecordBatch avx2 = batch;
+      detail::compact_columns_avx2(avx2, keep_row);
+      for (const RecordBatch* got : {&scalar, &avx2}) {
+        const char* path = got == &scalar ? "scalar" : "avx2";
+        ASSERT_EQ(got->event_times(), want.event_times()) << path << " n=" << n;
+        ASSERT_EQ(got->keys(), want.keys()) << path << " n=" << n;
+        ASSERT_EQ(got->values(), want.values()) << path << " n=" << n;
+        ASSERT_EQ(got->wire_sizes(), want.wire_sizes()) << path << " n=" << n;
+        ASSERT_EQ(got->wire_size(), want.wire_size()) << path << " n=" << n;
+      }
+    }
+  }
+#endif
 }
 
 }  // namespace

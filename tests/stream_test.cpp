@@ -241,10 +241,13 @@ TEST(OperatorEdgeCaseTest, EmptyInputBatchIsHarmless) {
     RecordBatch out;
     op->process(0, empty, out);
     EXPECT_TRUE(out.empty()) << op->name();
-    RecordBatch owned;
-    RecordBatch out2;
-    op->process_batch(0, std::move(owned), out2);
-    EXPECT_TRUE(out2.empty()) << op->name();
+    // Chains run in the runtime one stage pass at a time.
+    if (const auto* chain = dynamic_cast<const FusedStatelessChain*>(op.get())) {
+      RecordBatch staged;
+      for (std::size_t s = 0; s < chain->stage_count(); ++s) chain->apply_stage(s, staged);
+      EXPECT_TRUE(staged.empty()) << op->name();
+      EXPECT_TRUE(staged.wire_size().is_zero()) << op->name();
+    }
   };
   check(make_map("m", [](const Record& r) { return r; }));
   check(make_filter("f", [](const Record&) { return true; }));

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/check.hpp"
 #include "test_util.hpp"
 
@@ -152,22 +154,31 @@ TEST_F(TransferFixture, IntrusivenessThrottlesThroughput) {
 }
 
 TEST_F(TransferFixture, AcksAddLatencyForTinyTransfers) {
+  // 36 KB is one chunk, so the transfer takes one chunk flow plus its
+  // end-to-end ack. A bare fabric flow of the same size and demand cap on a
+  // second VM pair takes the flow alone.
   const auto a1 = vm(kNEU);
   const auto b1 = vm(kNUS);
-  TransferConfig with_acks;
-  with_acks.acknowledgements = true;
-  const TransferResult acked = run_transfer(Bytes::kb(36), direct_lane(a1, b1), with_acks);
+  const TransferResult acked = run_transfer(Bytes::kb(36), direct_lane(a1, b1));
 
   const auto a2 = vm(kNEU);
   const auto b2 = vm(kNUS);
-  TransferConfig without;
-  without.acknowledgements = false;
-  const TransferResult bare = run_transfer(Bytes::kb(36), direct_lane(a2, b2), without);
+  const TransferConfig config;
+  cloud::FlowOptions options;
+  options.demand_cap = cloud::vm_spec(VmSize::kSmall).nic *
+                       (config.intrusiveness / static_cast<double>(config.streams_per_hop));
+  const SimTime began = world.engine.now();
+  std::optional<SimDuration> bare;
+  provider().transfer(a2, b2, Bytes::kb(36), options, [&](const cloud::FlowResult& r) {
+    EXPECT_TRUE(r.ok());
+    bare = world.engine.now() - began;
+  });
+  ASSERT_TRUE(run_until(world.engine, [&] { return bare.has_value(); }, SimDuration::hours(1)));
 
-  ASSERT_TRUE(acked.ok && bare.ok);
-  EXPECT_GT(acked.elapsed(), bare.elapsed());
+  ASSERT_TRUE(acked.ok);
+  EXPECT_GT(acked.elapsed(), *bare);
   // The gap is about one one-way control latency (~47.5 ms NUS->NEU).
-  EXPECT_NEAR((acked.elapsed() - bare.elapsed()).to_seconds(), 0.0475, 0.03);
+  EXPECT_NEAR((acked.elapsed() - *bare).to_seconds(), 0.0475, 0.03);
 }
 
 TEST_F(TransferFixture, ForwarderFailureRecoversViaRetransmit) {
