@@ -82,9 +82,10 @@ void BM_EventQueue_CancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_EventQueue_CancelHeavy);
 
 void BM_EventQueue_Reschedule(benchmark::State& state) {
-  // A settle moves the completion event of every flow whose rate changed:
-  // N live events, and each round advances the clock 1 ms and moves every
-  // one of them to a new time 1-100 ms ahead (none fires).
+  // A settle moves the completion event of each component whose earliest
+  // finish time changed: N live events, and each round advances the clock
+  // 1 ms and moves every one of them to a new time 1-100 ms ahead (none
+  // fires).
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::SimEngine engine;
   Rng rng(1);
@@ -244,6 +245,8 @@ void BM_SettleChurn(benchmark::State& state) {
   // component, and each completion starts a replacement flow. Every
   // iteration runs the fabric to its next completion: the completion's
   // re-settle, the replacement's activation and any refresh tick between.
+  // cancel_per_fire counts the engine's cancels (a moved event counts as
+  // one) per fired event over the timed iterations.
   const auto flows = static_cast<int>(state.range(0));
   sim::SimEngine engine;
   cloud::Fabric fabric(engine, cloud::default_topology(), 1);
@@ -270,11 +273,16 @@ void BM_SettleChurn(benchmark::State& state) {
   };
   for (int i = 0; i < flows; ++i) start();
   engine.run_until(engine.now() + SimDuration::seconds(5));  // reach steady churn
+  const std::uint64_t cancelled = engine.events_cancelled();
+  const std::uint64_t fired = engine.events_fired();
   for (auto _ : state) {
     const std::int64_t before = completed;
     while (completed == before) engine.step();
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["cancel_per_fire"] =
+      static_cast<double>(engine.events_cancelled() - cancelled) /
+      static_cast<double>(std::max<std::uint64_t>(1, engine.events_fired() - fired));
 }
 BENCHMARK(BM_SettleChurn)->Arg(64)->Arg(256);
 
@@ -478,45 +486,6 @@ void BM_KeyedAggregateAoS(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
 }
 BENCHMARK(BM_KeyedAggregateAoS)->Arg(1 << 10)->Arg(1 << 16);
-
-void BM_FusedChain(benchmark::State& state) {
-  // The stateless map/filter chain over one 4096-record batch, through the
-  // runtime's stage loop: per-vertex execution, each one-stage vertex's
-  // pass handing its buffer on to the next vertex's batch (arg 0), vs the
-  // fused four-stage chain over one batch (arg 1).
-  const bool fused = state.range(0) != 0;
-  std::vector<std::shared_ptr<const stream::FusedStatelessChain>> chains;
-  for (const auto& op : chain_ops()) {
-    chains.push_back(std::dynamic_pointer_cast<const stream::FusedStatelessChain>(op));
-    SAGE_CHECK(chains.back() != nullptr);
-  }
-  std::vector<stream::StatelessStage> stages;
-  for (const auto& c : chains) {
-    const bool ok = c->collect_stages(stages);
-    SAGE_CHECK(ok);
-  }
-  const stream::FusedStatelessChain whole("fused", std::move(stages));
-  const stream::RecordBatch in = chain_input(4096);
-  for (auto _ : state) {
-    stream::RecordBatch cur = in;
-    if (fused) {
-      for (std::size_t s = 0; s < whole.stage_count() && !cur.empty(); ++s) {
-        whole.apply_stage(s, cur);
-      }
-    } else {
-      for (const auto& c : chains) {
-        if (cur.empty()) break;
-        stream::RecordBatch next;
-        next.append(std::move(cur));
-        c->apply_stage(0, next);
-        cur = std::move(next);
-      }
-    }
-    benchmark::DoNotOptimize(cur.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(in.size()));
-}
-BENCHMARK(BM_FusedChain)->Arg(0)->Arg(1);
 
 /// Row-at-a-time filter pass instantiated on the concrete predicate:
 /// gather each row, test it, scatter survivors forward.

@@ -22,9 +22,11 @@
 // refresh ticks land on absolute multiples of the refresh period, and
 // node/link mutators advance and re-settle only the components their links
 // reach. A refresh tick re-settles every component so capacity drift reaches
-// every flow, but a completion event is only moved when the flow's
-// scheduled finish time actually moved. See DESIGN.md "Simulator
-// performance" for the algorithm and the determinism invariants.
+// every flow. A settle gives each flow a finish time rounded up to the next
+// microsecond, and each component holds one completion event, at its
+// earliest finish; the event stays put when that time did not move. See
+// DESIGN.md "Simulator performance" for the algorithm and the determinism
+// invariants.
 //
 // This is a deliberate substitution for the paper's real Azure testbed: the
 // scheduler and model layers only ever observe flow-level throughput, which
@@ -193,12 +195,6 @@ class Fabric {
   static constexpr double kHiccupDepthLo = 0.10;
   static constexpr double kHiccupDepthHi = 0.45;
 
-  // A re-settled flow keeps its scheduled completion event when its rate
-  // moved by at most this relative amount AND the previously scheduled
-  // finish time is still exact (to the microsecond) for the new remaining
-  // bytes at the new rate. Refresh ticks on stable links are then heap-free.
-  static constexpr double kRateRelTolerance = 1e-9;
-
   struct Flow {
     FlowId id;
     NodeId src;
@@ -212,7 +208,8 @@ class Fabric {
     double demand = 0.0;     // per settle: flow_demand at the settle's instant
     SimTime started;
     SimTime last_progress;
-    SimTime completion_at;  // target of the scheduled completion event
+    SimTime completion_at;  // finish time from the last settle; a pending
+                            // `completion` event is scheduled at it
     bool active = false;    // false while in setup-latency phase
     bool filled = false;    // per settle: rate fixed by this water-fill
     CompletionFn on_done;
@@ -271,17 +268,20 @@ class Fabric {
   /// flow with the pair link.
   [[nodiscard]] bool links_stay_joined(const std::array<std::size_t, 3>& links) const;
 
-  /// Bring `flows` up to `now` at their settled rates. If any complete,
-  /// their callbacks fire and `flows` shrinks to the survivors (see
-  /// finish_listed; the no-completion path touches no hash lookups).
-  /// `complete_hint` names a flow that should complete even if integer
-  /// rounding left it a final sub-byte (completion-event path). Returns
-  /// finish_listed's answer, or true when nothing completed.
-  bool advance_flows(std::vector<Flow*>& flows, FlowId complete_hint = 0);
+  /// Bring `flows` up to `now` at their settled rates. Every flow this
+  /// moves that is done completes, in flow-id order: no bytes remain, or
+  /// its finish time has come with at most one byte of floating-point
+  /// rounding left. Their callbacks fire and `flows` shrinks to the
+  /// survivors (see finish_listed; the no-completion path touches no hash
+  /// lookups). Returns finish_listed's answer, or true when nothing
+  /// completed.
+  bool advance_flows(std::vector<Flow*>& flows);
 
   /// Max-min water-filling over the active flows in `flows` (whole
   /// components), one component at a time, using the dense per-link
-  /// scratch buffers, then reschedule completion events with hysteresis.
+  /// scratch buffers. Then every flow gets its finish time, and each
+  /// component's earliest flow (ties to the lowest id) holds its one
+  /// completion event; every other flow's event is cancelled.
   /// `one_component` promises that the active flows are one component, so
   /// the union-find labelling is skipped. Runs no user callbacks.
   void settle_flows(const std::vector<Flow*>& flows, bool one_component = false);
@@ -379,7 +379,8 @@ class Fabric {
   std::vector<Flow*> comp_flows_;
   std::vector<std::size_t> comp_links_, flow_start_, link_start_, cursor_;
   std::vector<Flow*> to_reschedule_;
-  std::vector<double> old_rates_;  // parallel to to_reschedule_
+  std::vector<SimTime> finish_at_;       // parallel to to_reschedule_
+  std::vector<std::size_t> comp_lead_;   // per component: index of its earliest flow
 
   // Flow lists live across completion callbacks (which may re-enter the
   // fabric), so they come from small recycle pools instead of members. The

@@ -6,10 +6,12 @@ Usage, from the repository root:
   python3 perfbench/run.py --workload bulk-wan --seed 1 --seconds 1 --trace 1 > run.out
   python3 tests/check_perfbench_golden.py bulk-wan run.out
 
-The run must print the workload's expected digest, and none of the golden
-work counters may exceed its expected value by more than the file's
-counter_growth_bound (a relative fraction). A counter that shrinks passes.
-Exits 1 and names every mismatch otherwise.
+The run must print the workload's expected digest, and each golden work
+counter must stay within the file's counter_bound (a relative fraction) of
+its expected value, in both directions. A counter that grows means new
+work; one that shrinks means the golden kept stale slack, which would let a
+later regression hide, so a change that removes work re-pins the counters
+it moved. Exits 1 and names every mismatch otherwise.
 """
 
 import json
@@ -42,7 +44,7 @@ def check(workload, lines, golden):
         metrics = json.loads(lines[-1])["metrics"]
     except (IndexError, ValueError, KeyError, TypeError):
         return errors + ["last line is not a perfbench result"]
-    bound = golden["counter_growth_bound"]
+    bound = golden["counter_bound"]
     for name, expected in want["counters"].items():
         if name not in metrics:
             errors.append("%s missing (was the run traced?)" % name)
@@ -50,6 +52,9 @@ def check(workload, lines, golden):
         value = metrics[name]["value"]
         if value > expected * (1.0 + bound):
             errors.append("%s = %r grew more than %g%% over golden %r"
+                          % (name, value, 100 * bound, expected))
+        elif value < expected * (1.0 - bound):
+            errors.append("%s = %r fell more than %g%% below golden %r; re-pin it"
                           % (name, value, 100 * bound, expected))
     return errors
 

@@ -272,11 +272,12 @@ TEST_F(FabricFixture, PairFlowCountIncludesSetupPhase) {
 }
 
 TEST_F(FabricFixture, StableRefreshDoesNotChurnEventQueue) {
-  // On a drift-free topology every refresh re-settles to the same rates, so
-  // the completion-event hysteresis must leave the scheduled events where
-  // they are instead of moving them every tick. Microsecond truncation in
-  // the recomputed finish target occasionally forces a legitimate move, so
-  // assert strong suppression rather than zero.
+  // On a drift-free topology every refresh re-settles to the same rates.
+  // The flows share the pair link, so they are one component with one
+  // completion event, and a settle leaves that event where it is when the
+  // earliest finish time did not move. Byte progress truncates at each tick,
+  // which can push the rounded-up finish time a microsecond later and
+  // legitimately move the event, so assert strong suppression, not zero.
   constexpr int kFlows = 8;
   for (int i = 0; i < kFlows; ++i) {
     fabric.start_flow(vm(kNEU), vm(kNUS), Bytes::gb(50), {}, [](const FlowResult&) {});
@@ -286,10 +287,99 @@ TEST_F(FabricFixture, StableRefreshDoesNotChurnEventQueue) {
   constexpr int kTicks = 240;  // 120 s at the default 500 ms refresh
   engine.run_until(engine.now() + SimDuration::seconds(120));
   const std::uint64_t churn = engine.events_cancelled() - cancelled;
-  // Every move of a completion event counts as one cancel. Without
-  // hysteresis each tick moves all of them: kFlows * kTicks. Demand at
-  // least 80% suppression.
+  // Every move of a completion event counts as one cancel. Moving every
+  // flow's finish each tick would cost kFlows * kTicks. Demand at least
+  // 80% suppression.
   EXPECT_LE(churn, static_cast<std::uint64_t>(kFlows) * kTicks / 5);
+}
+
+// -- Completion events --------------------------------------------------------
+//
+// A settle gives each flow a finish time rounded up to the next microsecond,
+// and only each component's earliest flow holds a completion event. The
+// engine runs nothing but this fabric here, so its live events are the
+// completion events, the pending refresh tick and any setup events.
+
+TEST_F(FabricFixture, EqualFlowsFinishInOneEventInFlowIdOrder) {
+  // Five equal flows on one NIC pair share it at NIC/5 and finish at the
+  // same instant: 1,000,003 B at 2.5 MB/s is 400,001.2 us, rounded up.
+  constexpr int kFlows = 5;
+  const NodeId src = vm(kNEU);
+  const NodeId dst = vm(kNEU);
+  const std::size_t before = engine.live_events();
+  struct Done { FlowId id; std::int64_t at_us; std::uint64_t fired; };
+  std::vector<Done> done;
+  std::vector<FlowId> ids;
+  for (int i = 0; i < kFlows; ++i) {
+    ids.push_back(fabric.start_flow(src, dst, Bytes::of(1'000'003), {}, [&](const FlowResult& r) {
+      EXPECT_TRUE(r.ok());
+      done.push_back({r.id, engine.now().count_micros(), engine.events_fired()});
+    }));
+  }
+  const SimTime active = SimTime::epoch() + topo.link(kNEU, kNEU).latency;
+  engine.run_until(active);
+  ASSERT_EQ(fabric.flow_rate(ids[0]).bytes_per_second(), kSmallNic.bytes_per_second() / kFlows);
+  // The refresh tick and one completion event for all five flows.
+  EXPECT_EQ(engine.live_events() - before, 2u);
+  engine.run_until(active + SimDuration::millis(450));  // before the next refresh tick
+  ASSERT_EQ(done.size(), static_cast<std::size_t>(kFlows));
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    EXPECT_EQ(done[i].id, ids[i]);  // callbacks in flow-id order
+    EXPECT_EQ(done[i].at_us, (active + SimDuration::micros(400'002)).count_micros());
+    EXPECT_EQ(done[i].fired, done[0].fired) << "flow " << done[i].id;  // one event
+  }
+}
+
+TEST_F(FabricFixture, BridgeFlowJoinsAndSplitsCompletionEvents) {
+  // Two groups of three flows on their own NICs, one inside NEU and one
+  // inside WEU, then a bridge flow from group 0's source to group 1's sink.
+  // While the bridge is active the seven flows are one component with one
+  // completion event; after it finishes each half has its own.
+  const NodeId src0 = vm(kNEU);
+  const NodeId dst0 = vm(kNEU);
+  const NodeId src1 = vm(kWEU);
+  const NodeId dst1 = vm(kWEU);
+  for (int i = 0; i < 3; ++i) {
+    fabric.start_flow(src0, dst0, Bytes::gb(1), {}, [](const FlowResult&) {});
+    fabric.start_flow(src1, dst1, Bytes::gb(1), {}, [](const FlowResult&) {});
+  }
+  std::size_t after_bridge = 0;
+  bool bridged = false;
+  fabric.start_flow(src0, dst1, Bytes::kb(100), {}, [&](const FlowResult& r) {
+    EXPECT_TRUE(r.ok());
+    bridged = true;
+    // Runs after the completion event's re-settle, at the same instant.
+    engine.schedule_after(SimDuration::zero(), [&] { after_bridge = engine.live_events(); });
+  });
+  const SimDuration bridge_setup = topo.link(kNEU, kWEU).latency;
+  ASSERT_GT(bridge_setup, topo.link(kNEU, kNEU).latency);
+  engine.run_until(SimTime::epoch() + bridge_setup - SimDuration::micros(1));
+  // The refresh tick, the bridge's setup event and one event per group.
+  EXPECT_EQ(engine.live_events(), 4u);
+  engine.run_until(SimTime::epoch() + bridge_setup + SimDuration::micros(1));
+  ASSERT_FALSE(bridged);
+  EXPECT_EQ(engine.live_events(), 2u);  // the refresh tick and the joined component's event
+  ASSERT_TRUE(run_until(engine, [&] { return after_bridge != 0; }, SimDuration::millis(400)));
+  EXPECT_EQ(after_bridge, 3u);  // the refresh tick and one event per half
+}
+
+TEST_F(FabricFixture, LoneFlowFiresOneCompletionEvent) {
+  // 1,000,003 B at the full 12.5 MB/s NIC is 80,000.24 us. The finish time
+  // rounds up, so the one event finds every byte moved; rounded down, it
+  // would leave 3 B for a second event a microsecond later.
+  const Bytes size = Bytes::of(1'000'003);
+  bool done = false;
+  FlowResult result{};
+  fabric.start_flow(vm(kNEU), vm(kNEU), size, {}, [&](const FlowResult& r) {
+    result = r;
+    done = true;
+  });
+  std::uint64_t fired = 0;
+  while (!done && engine.step()) ++fired;
+  ASSERT_TRUE(done);
+  EXPECT_EQ(fired, 2u);  // the activation and the completion
+  EXPECT_EQ(result.transferred, size);
+  EXPECT_EQ(result.elapsed(), topo.link(kNEU, kNEU).latency + SimDuration::micros(80'001));
 }
 
 TEST(FabricDeterminismTest, IdenticalSeedsProduceIdenticalFinishTimes) {
@@ -505,14 +595,13 @@ TEST(FabricPartitionTest, BridgeCompletionLeavesHalvesSettlingAsSoloRuns) {
 }
 
 TEST(FabricPartitionTest, CancelInCompletionCallbackCountsPendingHintFlow) {
-  // Eight flows share one NIC pair at NIC/8 = 1.5625 MB/s. Flow A (900 B) and
-  // flow H (901 B) both reach their completion time 576 us after activation.
-  // H's event fires first: H activates last, and its activation's re-settle
-  // reschedules it first. H is left one byte of integer rounding short, so it
-  // completes through the completion hint, queued after A. A's callback
-  // cancels a sibling while H is queued to finish but still live: the nested
-  // re-settle must count H on the NIC, giving the six live flows NIC/6 each,
-  // not NIC/5 to the other five beside H's old NIC/8.
+  // Eight flows share one NIC pair at NIC/8 = 1.5625 MB/s. Flow A (900 B)
+  // needs 576 us and flow H (899 B) 575.36 us, which rounds up to 576, so
+  // both finish in one completion event 576 us after activation, A first in
+  // flow-id order. A's callback cancels a sibling while H is queued to
+  // finish but still live: the nested re-settle must count H on the NIC,
+  // giving the six live flows NIC/6 each, not NIC/5 to the other five
+  // beside H's old NIC/8.
   sim::SimEngine engine;
   Fabric fabric(engine, stable_topology(), /*seed=*/7);
   const NodeId src = fabric.add_node(kNEU, kSmallNic, kSmallNic);
@@ -533,9 +622,9 @@ TEST(FabricPartitionTest, CancelInCompletionCallbackCountsPendingHintFlow) {
   for (int i = 1; i < 7; ++i) {
     ids.push_back(fabric.start_flow(src, dst, Bytes::gb(1), {}, [](const FlowResult&) {}));
   }
-  ids.push_back(fabric.start_flow(src, dst, Bytes::of(901), {}, [&](const FlowResult& r) {
+  ids.push_back(fabric.start_flow(src, dst, Bytes::of(899), {}, [&](const FlowResult& r) {
     EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r.transferred, Bytes::of(901));
+    EXPECT_EQ(r.transferred, Bytes::of(899));
     finished.emplace_back(r.id, r.finished.count_micros());
   }));
   engine.run_until(SimTime::from_micros(100'000));  // before the first refresh tick
