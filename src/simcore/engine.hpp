@@ -14,8 +14,9 @@
 // (time, sequence, slot) entries, with every live slot's heap index kept in
 // a dense side array. It holds only live events: cancel() removes its entry
 // at once, and reschedule() moves a pending event in place — the fabric
-// moves a flow's completion event whenever a settle changes its rate, so
-// that move is one sift rather than a removal plus an insertion.
+// moves a component's completion event whenever a settle moves its earliest
+// finish time, so that move is one sift rather than a removal plus an
+// insertion.
 #pragma once
 
 #include <cstddef>
