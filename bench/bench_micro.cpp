@@ -312,7 +312,7 @@ stream::RecordBatch chain_input(std::size_t n) {
   return in;
 }
 
-// chain_ops()'s callables, named so BM_FusedChainSoA can also run them
+// chain_ops()'s callables, named so BM_StatelessKernels can also run them
 // through row-at-a-time passes.
 constexpr auto kScale = [](double v) { return v * 1.5 + 0.25; };
 constexpr auto kAboveFloor = [](double v) { return v > -1.0; };
@@ -320,8 +320,8 @@ constexpr auto kClamp = [](double v) { return v > 1.0 ? 1.0 : v; };
 constexpr auto kKeepKey = [](std::uint64_t k) { return k % 10 != 0; };
 
 std::vector<std::shared_ptr<stream::Operator>> chain_ops() {
-  // Field-typed factories: each stage lowers to a single-column SoA kernel
-  // (value map / value filter / key filter).
+  // Field-typed factories: each operator lowers to a single-column SoA
+  // kernel (value map / value filter / key filter).
   std::vector<std::shared_ptr<stream::Operator>> ops;
   ops.push_back(stream::make_value_map("scale", kScale));
   ops.push_back(stream::make_value_filter("pos", kAboveFloor));
@@ -507,17 +507,18 @@ stream::BatchApplyFn row_filter(F keep) {
   };
 }
 
-void BM_FusedChainSoA(benchmark::State& state) {
-  // chain_ops() over one 4096-record batch two ways: scalar row-at-a-time
-  // passes instantiated on the same callables (arg 0) vs the stages' column
-  // kernels (arg 1). Same survivors — the delta is pure execution-path speed.
+void BM_StatelessKernels(benchmark::State& state) {
+  // chain_ops() over one 4096-record batch, one operator at a time, two
+  // ways: scalar row-at-a-time passes instantiated on the same callables
+  // (arg 0) vs each operator's own column kernel (arg 1). Same survivors —
+  // the delta is pure execution-path speed.
   const bool kernels = state.range(0) != 0;
-  std::vector<stream::StatelessStage> stages;
-  for (const auto& op : chain_ops()) {
-    const bool ok = op->collect_stages(stages);
-    SAGE_CHECK(ok);
+  std::vector<const stream::StatelessOperator*> ops;
+  const auto owned = chain_ops();
+  for (const auto& op : owned) {
+    ops.push_back(dynamic_cast<const stream::StatelessOperator*>(op.get()));
+    SAGE_CHECK(ops.back() != nullptr);
   }
-  const stream::FusedStatelessChain chain("fused", std::move(stages));
   const std::vector<stream::BatchApplyFn> scalar = {
       stream::make_map_apply([](stream::Record r) {
         r.value = kScale(r.value);
@@ -532,18 +533,18 @@ void BM_FusedChainSoA(benchmark::State& state) {
   const stream::RecordBatch in = chain_input(4096);
   for (auto _ : state) {
     stream::RecordBatch cur = in;
-    for (std::size_t s = 0; s < chain.stage_count() && !cur.empty(); ++s) {
+    for (std::size_t i = 0; i < ops.size() && !cur.empty(); ++i) {
       if (kernels) {
-        chain.apply_stage(s, cur);
+        ops[i]->apply(cur);
       } else {
-        scalar[s](cur);
+        scalar[i](cur);
       }
     }
     benchmark::DoNotOptimize(cur.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(in.size()));
 }
-BENCHMARK(BM_FusedChainSoA)->Arg(0)->Arg(1);
+BENCHMARK(BM_StatelessKernels)->Arg(0)->Arg(1);
 
 void BM_BatchTranspose(benchmark::State& state) {
   // Row gather/scatter round trip across the columnar batch: materialize

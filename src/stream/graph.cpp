@@ -61,14 +61,6 @@ const Vertex& JobGraph::vertex(VertexId v) const {
   return vertices_[v];
 }
 
-std::vector<Edge> JobGraph::out_edges(VertexId v) const {
-  std::vector<Edge> out;
-  for (const Edge& e : edges_) {
-    if (e.from == v) out.push_back(e);
-  }
-  return out;
-}
-
 std::vector<cloud::Region> JobGraph::sites_used() const {
   std::vector<cloud::Region> sites;
   for (const Vertex& v : vertices_) {
@@ -85,45 +77,6 @@ std::vector<Edge> JobGraph::wan_edges() const {
     if (vertices_[e.from].site != vertices_[e.to].site) out.push_back(e);
   }
   return out;
-}
-
-std::size_t JobGraph::fuse_stateless_chains() {
-  std::size_t merges = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Degree counts over the *live* edge list (re-derived each round since
-    // merging rewires edges).
-    std::vector<int> out_deg(vertices_.size(), 0);
-    std::vector<int> in_deg(vertices_.size(), 0);
-    for (const Edge& e : edges_) {
-      ++out_deg[e.from];
-      ++in_deg[e.to];
-    }
-    for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-      const Edge e = edges_[ei];
-      Vertex& a = vertices_[e.from];
-      Vertex& b = vertices_[e.to];
-      if (a.kind != VertexKind::kOperator || b.kind != VertexKind::kOperator) continue;
-      if (a.site != b.site) continue;
-      if (out_deg[e.from] != 1 || in_deg[e.to] != 1) continue;
-      std::vector<StatelessStage> stages;
-      if (!a.op->collect_stages(stages) || !b.op->collect_stages(stages)) continue;
-
-      // Merge B into A: A becomes the fused chain, B's out-edges now leave
-      // from A, and B stays in place (disconnected, stateless, timer-free —
-      // the runtime never schedules it) so every VertexId remains valid.
-      a.op = make_fused(std::string(a.name) + "+" + b.name, std::move(stages));
-      edges_.erase(edges_.begin() + static_cast<std::ptrdiff_t>(ei));
-      for (Edge& rest : edges_) {
-        if (rest.from == b.id) rest.from = a.id;
-      }
-      ++merges;
-      changed = true;
-      break;  // degrees are stale; restart the scan
-    }
-  }
-  return merges;
 }
 
 void JobGraph::validate() const {

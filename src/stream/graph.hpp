@@ -71,7 +71,6 @@ class JobGraph {
   [[nodiscard]] const std::vector<Vertex>& vertices() const { return vertices_; }
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
   [[nodiscard]] const Vertex& vertex(VertexId v) const;
-  [[nodiscard]] std::vector<Edge> out_edges(VertexId v) const;
   [[nodiscard]] std::vector<cloud::Region> sites_used() const;
   /// Edges whose endpoints live on different sites.
   [[nodiscard]] std::vector<Edge> wan_edges() const;
@@ -89,15 +88,6 @@ class JobGraph {
   /// Operator::uses_input_values given its own output's liveness. A vertex
   /// with several consumers is live when any of them reads.
   [[nodiscard]] std::vector<bool> live_value_outputs() const;
-
-  /// Collapse linear runs of same-site stateless chains (every map and
-  /// filter is a one-stage chain) into single longer chains, so a
-  /// batch crosses the run in one executor dispatch with no intermediate
-  /// materialization. Only merges A -> B where A has exactly one out-edge
-  /// and B exactly one in-edge; vertex ids are preserved (B's operator moves
-  /// into A and B is left disconnected), so ids held by callers — sinks,
-  /// metrics probes — stay valid. Returns the number of merges performed.
-  std::size_t fuse_stateless_chains();
 
  private:
   /// Every vertex id in a topological order (Kahn's algorithm); throws

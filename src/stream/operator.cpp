@@ -6,67 +6,28 @@
 
 namespace sage::stream {
 
-FusedStatelessChain::FusedStatelessChain(std::string name,
-                                         std::vector<StatelessStage> stages)
-    : name_(std::move(name)), stages_(std::move(stages)) {
-  SAGE_CHECK_MSG(!stages_.empty(), "fused chain needs at least one stage");
-  for (const StatelessStage& s : stages_) {
-    SAGE_CHECK_MSG((s.map != nullptr) != (s.filter != nullptr),
-                   "a stage is exactly one of map / filter");
-    SAGE_CHECK_MSG(s.apply != nullptr, "a stage needs its batch pass");
-    SAGE_CHECK(s.cost > 0.0);
-  }
+StatelessOperator::StatelessOperator(std::string name, MapFn map, FilterPred filter,
+                                     BatchApplyFn apply, double cost, ValueUse values)
+    : name_(std::move(name)), map_(std::move(map)), filter_(std::move(filter)),
+      apply_(std::move(apply)), cost_(cost), values_(values) {
+  SAGE_CHECK_MSG((map_ != nullptr) != (filter_ != nullptr),
+                 "a stateless operator is exactly one of map / filter");
+  SAGE_CHECK_MSG(apply_ != nullptr, "a stateless operator needs its batch pass");
+  SAGE_CHECK(cost_ > 0.0);
 }
 
-void FusedStatelessChain::process(int port, const RecordBatch& in, RecordBatch& out) {
-  SAGE_CHECK_MSG(port == 0, "fused chain has a single input port");
+void StatelessOperator::process(int port, const RecordBatch& in, RecordBatch& out) {
+  SAGE_CHECK_MSG(port == 0, "a stateless operator has a single input port");
   const std::size_t n = in.size();
   out.reserve(out.size() + n);
   for (std::size_t i = 0; i < n; ++i) {
-    Record cur = in.row(i);
-    bool keep = true;
-    for (const StatelessStage& s : stages_) {
-      if (s.map) {
-        cur = s.map(cur);
-      } else if (!s.filter(cur)) {
-        keep = false;
-        break;
-      }
+    const Record r = in.row(i);
+    if (map_) {
+      out.add(map_(r));
+    } else if (filter_(r)) {
+      out.add(r);
     }
-    if (keep) out.add(cur);
   }
-}
-
-double FusedStatelessChain::cost_per_record() const {
-  double sum = 0.0;
-  for (const StatelessStage& s : stages_) sum += s.cost;
-  return sum;
-}
-
-bool FusedStatelessChain::uses_input_values(bool out_values_live) const {
-  return out_values_live ||
-         std::any_of(stages_.begin(), stages_.end(),
-                     [](const StatelessStage& s) { return s.values == ValueUse::kReads; });
-}
-
-std::vector<bool> FusedStatelessChain::dead_value_maps(bool out_values_live) const {
-  std::vector<bool> dead(stages_.size(), false);
-  bool live = out_values_live;  // whether stage i's output values are read
-  for (std::size_t i = stages_.size(); i-- > 0;) {
-    dead[i] = stages_[i].values == ValueUse::kMaps && !live;
-    if (stages_[i].values == ValueUse::kReads) live = true;
-  }
-  return dead;
-}
-
-bool FusedStatelessChain::collect_stages(std::vector<StatelessStage>& stages) const {
-  stages.insert(stages.end(), stages_.begin(), stages_.end());
-  return true;
-}
-
-void FusedStatelessChain::apply_stage(std::size_t i, RecordBatch& batch) const {
-  SAGE_CHECK(i < stages_.size());
-  stages_[i].apply(batch);
 }
 
 WindowAggregateOperator::WindowAggregateOperator(std::string name, SimDuration window,
@@ -391,10 +352,6 @@ void TopKOperator::on_timer(SimTime now, RecordBatch& out) {
     out.add(r);
   }
   weights_.clear();
-}
-
-std::shared_ptr<Operator> make_fused(std::string name, std::vector<StatelessStage> stages) {
-  return std::make_shared<FusedStatelessChain>(std::move(name), std::move(stages));
 }
 
 std::shared_ptr<Operator> make_window_aggregate(std::string name, SimDuration window,

@@ -15,15 +15,12 @@
 //
 // Data-plane fast paths (see DESIGN.md "Streaming data plane"):
 //
-//   * Every map and filter is a stateless chain, and linear runs of
-//     same-site chains are fused into single vertices at construction
-//     (JobGraph::fuse_stateless_chains). The executor still charges each
-//     stage's CPU cost separately — one simulated delay per stage, CPU
-//     factor sampled at every stage boundary — so fusion changes
-//     wall-clock speed, never simulated timing.
-//   * Batches move, never copy: a chain rewrites its batch in place, the
-//     geo-batcher steals buffers, and drained batches return to a
-//     free-list pool instead of the allocator.
+//   * Every operator runs as its own vertex: each batch it takes pays one
+//     simulated delay of rows × cost_per_record(), at the CPU factor
+//     sampled when the vertex takes the batch.
+//   * Batches move, never copy: a stateless operator rewrites its batch in
+//     place, the geo-batcher steals buffers, and drained batches return to
+//     a free-list pool instead of the allocator.
 //   * Per-vertex out-edge adjacency (with resolved geo-batcher pointers) is
 //     precomputed at start(), removing an O(edges) scan per dispatch.
 //   * No value work nothing reads: start() asks the graph which outputs
@@ -128,12 +125,12 @@ class StreamRuntime {
     /// Sources: whether any consumer reads the value column; when not, the
     /// source draws keys only and fills the column with value_mean.
     bool values_live = true;
-    /// Cached downcast: non-null when this vertex runs a stateless chain
-    /// (the executor walks its stages individually).
-    const FusedStatelessChain* fused = nullptr;
-    /// Chains: the value-map stages whose batch pass nobody reads (their
-    /// simulated delay still runs).
-    std::vector<bool> skip_stage;
+    /// Cached downcast: non-null when this vertex runs a stateless
+    /// operator, whose pass rewrites the batch in place.
+    const StatelessOperator* stateless = nullptr;
+    /// Stateless vertices: a value map whose output nobody reads skips its
+    /// pass (its simulated delay still runs).
+    bool skip_pass = false;
   };
 
   struct GeoBatcher {
@@ -168,7 +165,6 @@ class StreamRuntime {
   void deliver(const OutEdge& oe, RecordBatch batch);
   void enqueue(VertexId v, int port, RecordBatch batch);
   void process_next(VertexId v);
-  void run_fused_stage(VertexId v, RecordBatch batch, std::size_t stage);
   void dispatch_outputs(VertexId v, RecordBatch out);
   void flush_geo(GeoBatcher& b);
   void pump_geo(GeoBatcher& b);
@@ -205,7 +201,7 @@ class StreamRuntime {
   obs::Counter* obs_wan_failures_ = nullptr;
   obs::Counter* obs_wan_records_recv_ = nullptr;
   obs::Counter* obs_wan_records_lost_ = nullptr;
-  obs::Counter* obs_fused_stages_ = nullptr;
+  obs::Counter* obs_stateless_passes_ = nullptr;
   std::uint32_t wan_span_name_ = 0;
   bool running_ = false;
   bool started_ = false;

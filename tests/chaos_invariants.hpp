@@ -109,11 +109,11 @@ class ChaosInvariants {
     }
   }
 
-  /// Stream record conservation over the runtime's effective (possibly
-  /// fused) graph: per-vertex arrivals are consumed or queued, and globally
-  /// every source record is at a sink, retained in an operator, queued,
-  /// riding the WAN, or recorded lost — faults may grow `lost`, but nothing
-  /// is allowed to vanish unaccounted. Requires obs on the engine.
+  /// Stream record conservation over the runtime's graph: per-vertex
+  /// arrivals are consumed or queued, and globally every source record is
+  /// at a sink, retained in an operator, queued, riding the WAN, or
+  /// recorded lost — faults may grow `lost`, but nothing is allowed to
+  /// vanish unaccounted. Requires obs on the engine.
   void check_stream(const sim::SimEngine& engine, stream::StreamRuntime& runtime) {
     const obs::Observability* o = engine.obs();
     if (o == nullptr) return;

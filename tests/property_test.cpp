@@ -460,7 +460,7 @@ TEST_P(StreamMetricsConservation, RecordsBalanceAcrossRandomPipelines) {
     return c != nullptr ? c->value() : 0u;
   };
 
-  // Walk the *effective* (possibly fused) graph the runtime executes.
+  // Walk the graph the runtime executes.
   const stream::JobGraph& graph = runtime.graph();
   std::uint64_t source_produced = 0;
   std::uint64_t sink_arrived = 0;
@@ -518,17 +518,17 @@ TEST_P(StreamMetricsConservation, RecordsBalanceAcrossRandomPipelines) {
   EXPECT_EQ(source_produced,
             sink_arrived + retained_in_ops + queued + wan_pending + wan_lost);
 
-  // Every map and filter is a stateless chain, so chains must actually have
-  // executed stage-wise whenever the random pipeline drew one; the count is
+  // Every map and filter is a stateless operator, so stateless passes must
+  // actually have run whenever the random pipeline drew one; the count is
   // zero only for an all-window pipeline.
-  bool has_chain = false;
+  bool has_stateless = false;
   for (const stream::Vertex& v : graph.vertices()) {
     if (v.kind == stream::VertexKind::kOperator &&
-        dynamic_cast<const stream::FusedStatelessChain*>(v.op.get()) != nullptr) {
-      has_chain = true;
+        dynamic_cast<const stream::StatelessOperator*>(v.op.get()) != nullptr) {
+      has_stateless = true;
     }
   }
-  if (has_chain) {
+  if (has_stateless) {
     EXPECT_GT(gcount("stream.fused.stages"), 0u);
   }
   runtime.stop();
@@ -538,10 +538,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamMetricsConservation,
                          ::testing::Values(2u, 13u, 101u, 555u));
 
 // ---------------------------------------------------------------------------
-// Wire-size conservation through fused stages. The batch tracks its wire-byte
-// total incrementally (maps rewrite it, filters refresh it from survivors);
-// after every stage of a random map/filter chain the tracked total must equal
-// the actual column sum.
+// Wire-size conservation through stateless passes. The batch tracks its
+// wire-byte total incrementally (maps rewrite it, filters refresh it from
+// survivors); after each pass of a random map/filter pipeline the tracked
+// total must equal the actual column sum.
 // ---------------------------------------------------------------------------
 
 class WireSizeConservation : public ::testing::TestWithParam<std::uint64_t> {};
@@ -550,11 +550,12 @@ TEST_P(WireSizeConservation, TrackedTotalMatchesColumnSumAtEveryStage) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed * 77 + 5);
 
-  // Random chain mixing every stage flavour: generic record maps/filters,
-  // value maps/filters, key filters — several of them size-changing.
-  std::vector<stream::StatelessStage> stages;
-  const int n_stages = static_cast<int>(rng.uniform_int(2, 6));
-  for (int i = 0; i < n_stages; ++i) {
+  // Random pipeline mixing every stateless flavour: generic record
+  // maps/filters, value maps/filters, key filters — several of them
+  // size-changing.
+  std::vector<std::shared_ptr<stream::Operator>> ops;
+  const int n_ops = static_cast<int>(rng.uniform_int(2, 6));
+  for (int i = 0; i < n_ops; ++i) {
     const std::string name = "st" + std::to_string(i);
     const double kind = rng.uniform(0.0, 1.0);
     std::shared_ptr<stream::Operator> op;
@@ -578,9 +579,8 @@ TEST_P(WireSizeConservation, TrackedTotalMatchesColumnSumAtEveryStage) {
         return r.wire_size.count() % 3 != 0;
       });
     }
-    ASSERT_TRUE(op->collect_stages(stages));
+    ops.push_back(std::move(op));
   }
-  stream::FusedStatelessChain chain("chain", std::move(stages));
 
   stream::RecordBatch batch;
   const int n_records = static_cast<int>(rng.uniform_int(0, 300));
@@ -598,9 +598,9 @@ TEST_P(WireSizeConservation, TrackedTotalMatchesColumnSumAtEveryStage) {
     return total;
   };
   ASSERT_EQ(batch.wire_size(), column_sum(batch));
-  for (std::size_t s = 0; s < chain.stage_count(); ++s) {
-    chain.apply_stage(s, batch);
-    EXPECT_EQ(batch.wire_size(), column_sum(batch)) << "stage " << s << " seed " << seed;
+  for (const auto& op : ops) {
+    dynamic_cast<const stream::StatelessOperator&>(*op).apply(batch);
+    EXPECT_EQ(batch.wire_size(), column_sum(batch)) << op->name() << " seed " << seed;
   }
 }
 

@@ -6,9 +6,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "stream/graph.hpp"
 #include "stream/operator.hpp"
 #include "stream/runtime.hpp"
@@ -18,6 +20,7 @@ namespace sage::stream {
 namespace {
 
 using cloud::Region;
+using sage::testing::NoisyWorld;
 using sage::testing::StableWorld;
 
 constexpr Region kNEU = Region::kNorthEU;
@@ -241,25 +244,25 @@ TEST(OperatorEdgeCaseTest, EmptyInputBatchIsHarmless) {
     RecordBatch out;
     op->process(0, empty, out);
     EXPECT_TRUE(out.empty()) << op->name();
-    // Chains run in the runtime one stage pass at a time.
-    if (const auto* chain = dynamic_cast<const FusedStatelessChain*>(op.get())) {
-      RecordBatch staged;
-      for (std::size_t s = 0; s < chain->stage_count(); ++s) chain->apply_stage(s, staged);
-      EXPECT_TRUE(staged.empty()) << op->name();
-      EXPECT_TRUE(staged.wire_size().is_zero()) << op->name();
+    // The runtime runs a stateless operator's own batch pass in place.
+    if (const auto* stateless = dynamic_cast<const StatelessOperator*>(op.get())) {
+      RecordBatch applied;
+      stateless->apply(applied);
+      EXPECT_TRUE(applied.empty()) << op->name();
+      EXPECT_TRUE(applied.wire_size().is_zero()) << op->name();
     }
   };
   check(make_map("m", [](const Record& r) { return r; }));
   check(make_filter("f", [](const Record&) { return true; }));
+  check(make_value_map("vm", [](double v) { return v + 1.0; }));
+  check(make_value_filter("vf", [](double v) { return v > 0.0; }));
+  check(make_key_filter("kf", [](std::uint64_t k) { return k % 2 == 0; }));
   check(make_window_aggregate("w", SimDuration::seconds(1), AggregateFn::kSum));
   check(make_window_join("j", SimDuration::seconds(1),
                          [](double l, double r) { return l + r; }));
   check(make_sliding_window_aggregate("s", SimDuration::seconds(4),
                                       SimDuration::seconds(1), AggregateFn::kMax));
   check(make_top_k("t", SimDuration::seconds(1), 3));
-  std::vector<StatelessStage> stages;
-  ASSERT_TRUE(make_map("m", [](const Record& r) { return r; })->collect_stages(stages));
-  check(make_fused("fused", std::move(stages)));
 }
 
 TEST(OperatorEdgeCaseTest, TimerBeforeAnyDataEmitsNothing) {
@@ -326,7 +329,9 @@ TEST(JobGraphTest, BuildAndInspect) {
   g.connect(op, sink);
   g.validate();
   EXPECT_EQ(g.vertices().size(), 3u);
-  EXPECT_EQ(g.out_edges(src).size(), 1u);
+  ASSERT_EQ(g.edges().size(), 2u);
+  EXPECT_EQ(g.edges()[0].from, src);
+  EXPECT_EQ(g.edges()[0].to, op);
   EXPECT_EQ(g.wan_edges().size(), 1u);  // op(NEU) -> sink(NUS)
   const auto sites = g.sites_used();
   EXPECT_EQ(sites.size(), 2u);
@@ -543,40 +548,138 @@ TEST(ValueLivenessTest, SourceVerdictPerGraphShape) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.shape);
-    JobGraph g = c.build();
+    const JobGraph g = c.build();
     g.validate();
-    // The runtime asks the fused graph; fusion must not change a verdict.
-    for (const bool fused : {false, true}) {
-      if (fused) g.fuse_stateless_chains();
-      const std::vector<bool> live = g.live_value_outputs();
-      ASSERT_EQ(live.size(), g.vertices().size());
-      int sources = 0;
-      for (const Vertex& v : g.vertices()) {
-        if (v.kind != VertexKind::kSource) continue;
-        EXPECT_EQ(live[v.id], c.live) << v.name << (fused ? " (fused)" : "");
-        ++sources;
-      }
-      EXPECT_GT(sources, 0);
+    const std::vector<bool> live = g.live_value_outputs();
+    ASSERT_EQ(live.size(), g.vertices().size());
+    int sources = 0;
+    for (const Vertex& v : g.vertices()) {
+      if (v.kind != VertexKind::kSource) continue;
+      EXPECT_EQ(live[v.id], c.live) << v.name;
+      ++sources;
     }
+    EXPECT_GT(sources, 0);
   }
 }
 
 TEST(ValueLivenessTest, ChainSkipsOnlyValueMapsNobodyReads) {
-  std::vector<StatelessStage> stages;
-  for (const auto& op : {drop_key_mod3("b"), affine("a1"),
-                         make_value_filter("pos", [](double v) { return v > 0.0; }),
-                         affine("a2"), drop_key_mod3("c")}) {
-    ASSERT_TRUE(op->collect_stages(stages));
+  // s -> b -> a1 -> pos -> a2 -> c -> k: a1 feeds the value filter, while
+  // a2's values reach only a key filter and the sink.
+  const JobGraph g =
+      pipeline({drop_key_mod3("b"), affine("a1"),
+                make_value_filter("pos", [](double v) { return v > 0.0; }), affine("a2"),
+                drop_key_mod3("c")});
+  const std::vector<bool> live = g.live_value_outputs();
+  std::vector<bool> skips;
+  std::vector<bool> skips_if_read;
+  for (const Vertex& v : g.vertices()) {
+    if (v.kind != VertexKind::kOperator) continue;
+    const auto* op = dynamic_cast<const StatelessOperator*>(v.op.get());
+    ASSERT_NE(op, nullptr) << v.name;
+    skips.push_back(op->skips_pass(live[v.id]));
+    skips_if_read.push_back(op->skips_pass(true));
   }
-  const FusedStatelessChain chain("chain", stages);
-  // a1 feeds the value filter; a2 feeds only the chain's output.
-  EXPECT_EQ(chain.dead_value_maps(false),
-            (std::vector<bool>{false, false, false, true, false}));
-  EXPECT_EQ(chain.dead_value_maps(true), std::vector<bool>(5, false));
-  EXPECT_TRUE(chain.uses_input_values(false));
-  const FusedStatelessChain carry("carry", {stages[0], stages[1], stages[4]});
-  EXPECT_FALSE(carry.uses_input_values(false));
-  EXPECT_TRUE(carry.uses_input_values(true));
+  EXPECT_EQ(skips, (std::vector<bool>{false, false, false, true, false}));
+  EXPECT_EQ(skips_if_read, std::vector<bool>(5, false));
+  EXPECT_TRUE(live[0]);  // the value filter reads what the source draws
+  // Key filters and value maps pass the downstream answer through.
+  for (const auto& op : {drop_key_mod3("b"), affine("a")}) {
+    EXPECT_FALSE(op->uses_input_values(false)) << op->name();
+    EXPECT_TRUE(op->uses_input_values(true)) << op->name();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Batch passes against the record-level oracle.
+// ---------------------------------------------------------------------------
+
+// Every operator's batch pass — the column kernels the value/key factories
+// and generic filters lower to, and the scalar closure of a generic map —
+// computes the same survivors, values and wire accounting as the
+// operator's own record-level `process`, run row by row.
+TEST(StatelessOperatorTest, BatchPassesMatchRowAtATimeOracle) {
+  const std::vector<std::shared_ptr<Operator>> ops = {
+      make_value_map("scale", [](double v) { return v * 1.5 + 0.25; }),
+      make_value_filter("pos", [](double v) { return v > -1.0; }),
+      make_key_filter("mod", [](std::uint64_t k) { return k % 3 != 0; }),
+      make_map("resize",
+               [](const Record& r) {
+                 Record o = r;
+                 o.wire_size = Bytes::of(r.wire_size.count() / 2 + 16);
+                 return o;
+               }),
+      make_filter("even", [](const Record& r) { return r.wire_size.count() % 2 == 0; })};
+
+  // 37 rows: several full 4-wide compaction groups plus a scalar tail.
+  RecordBatch batch;
+  for (int i = 0; i < 37; ++i) {
+    Record r;
+    r.event_time = SimTime::epoch() + SimDuration::millis(i);
+    r.key = static_cast<std::uint64_t>(i * 7 % 11);
+    r.value = static_cast<double>(i) - 16.0;
+    r.wire_size = Bytes::of(48 + i);
+    batch.add(r);
+  }
+  for (const auto& op : ops) {
+    const std::string_view name = op->name();
+    RecordBatch want;
+    op->process(0, batch, want);
+    const auto* stateless = dynamic_cast<const StatelessOperator*>(op.get());
+    ASSERT_NE(stateless, nullptr) << name;
+    stateless->apply(batch);
+    ASSERT_EQ(batch.size(), want.size()) << name;
+    EXPECT_EQ(batch.wire_size(), want.wire_size()) << name;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const Record a = batch.row(i);
+      const Record b = want.row(i);
+      ASSERT_EQ(a.event_time, b.event_time) << name << " row " << i;
+      ASSERT_EQ(a.key, b.key) << name << " row " << i;
+      ASSERT_EQ(a.value, b.value) << name << " row " << i;
+      ASSERT_EQ(a.wire_size, b.wire_size) << name << " row " << i;
+    }
+  }
+  EXPECT_FALSE(batch.empty());
+}
+
+// On an AVX2 host detail::compact_columns runs the scalar loop only below 8
+// rows and in the AVX2 body's tail, yet the scalar loop is the whole pass on
+// every other host. Hold both paths, at every size from 0 to 67 and keep
+// rates from none to all, on random columns and wire sizes, to the survivors
+// in order with their exact wire total.
+TEST(CompactColumnsTest, ScalarAndAvx2PathsKeepTheSameRows) {
+#ifndef SAGE_COMPACT_AVX2
+  GTEST_SKIP() << "this build has no AVX2 compaction path";
+#else
+  if (!detail::avx2_available()) GTEST_SKIP() << "this host has no AVX2";
+  Rng rng(67);
+  for (std::int64_t keep_pct : {0, 10, 25, 50, 75, 90, 100}) {
+    for (std::size_t n = 0; n < 68; ++n) {
+      RecordBatch batch;
+      RecordBatch want;
+      std::vector<bool> keep(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Record r{SimTime::from_micros(rng.uniform_int(0, 1'000'000)), rng.next_u64(),
+                       rng.uniform(-1e3, 1e3), Bytes::of(rng.uniform_int(1, 4096))};
+        batch.add(r);
+        keep[i] = rng.uniform_int(0, 99) < keep_pct;
+        if (keep[i]) want.add(r);
+      }
+      const auto keep_row = [&](std::size_t i) { return static_cast<bool>(keep[i]); };
+      RecordBatch scalar = batch;
+      detail::compact_rows(scalar, 0, 0, 0, keep_row);
+      RecordBatch avx2 = batch;
+      detail::compact_columns_avx2(avx2, keep_row);
+      for (const RecordBatch* got : {&scalar, &avx2}) {
+        const char* path = got == &scalar ? "scalar" : "avx2";
+        ASSERT_EQ(got->event_times(), want.event_times()) << path << " n=" << n;
+        ASSERT_EQ(got->keys(), want.keys()) << path << " n=" << n;
+        ASSERT_EQ(got->values(), want.values()) << path << " n=" << n;
+        ASSERT_EQ(got->wire_sizes(), want.wire_sizes()) << path << " n=" << n;
+        ASSERT_EQ(got->wire_size(), want.wire_size()) << path << " n=" << n;
+      }
+    }
+  }
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -706,6 +809,120 @@ TEST(StreamRuntimeTest, QueueDepthVisibleUnderOverload) {
   world.engine.run_until(world.engine.now() + SimDuration::seconds(20));
   EXPECT_GT(runtime.queue_depth(heavy), 0u);
   runtime.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Every operator is its own vertex, so extra consumers hung off a pipeline's
+// inner operators cannot change what its main path delivers or when: the
+// same sink records, values and latencies, with CPU-factor noise active,
+// whether the pipeline idles or is loaded past what one vertex running all
+// three operators in series could keep up with.
+// ---------------------------------------------------------------------------
+
+/// Per-record costs of a, b and c in the pipeline below.
+struct StageCosts {
+  const char* load;
+  double a;
+  double b;
+  double c;
+};
+constexpr StageCosts kIdleCosts{"idle", 1.0, 0.5, 1.0};
+constexpr StageCosts kBacklogCosts{"backlog", 600.0, 300.0, 600.0};
+
+struct PipelineRun {
+  std::uint64_t records = 0;
+  Bytes bytes;
+  std::vector<double> latency_ms;
+  std::vector<Record> captured;  // what c saw, in order
+};
+
+/// s -> a (map) -> b (filter) -> c (tap map) -> k for 10 simulated seconds
+/// at 2,000 rec/s. With `extra_sinks`, sinks hang off a and b as well.
+PipelineRun run_pipeline(bool extra_sinks, const StageCosts& costs) {
+  NoisyWorld world(/*seed=*/7);
+  std::vector<Record> captured;
+
+  JobGraph g;
+  SourceSpec spec;
+  spec.records_per_sec = 2000.0;
+  spec.key_count = 64;
+  spec.key_skew = 1.1;
+  spec.value_stddev = 2.0;
+  const auto scale = [](const Record& r) {
+    Record o = r;
+    o.value = r.value * 2.0 + 0.5;
+    return o;
+  };
+  const auto positive = [](const Record& r) { return r.value > 0.0; };
+  const auto tap = [&captured](const Record& r) {
+    captured.push_back(r);
+    return r;
+  };
+  const auto src = g.add_source("s", kNEU, spec);
+  const auto a = g.add_operator("a", kNEU, make_map("scale", scale, costs.a));
+  const auto b = g.add_operator("b", kNEU, make_filter("pos", positive, costs.b));
+  const auto c = g.add_operator("c", kNEU, make_map("tap", tap, costs.c));
+  const auto sink = g.add_sink("k", kNEU);
+  g.connect(src, a);
+  g.connect(a, b);
+  g.connect(b, c);
+  g.connect(c, sink);
+  if (extra_sinks) {
+    g.connect(a, g.add_sink("ka", kNEU));
+    g.connect(b, g.add_sink("kb", kNEU));
+  }
+
+  NeverBackend backend;
+  RuntimeConfig cfg;
+  cfg.seed = 99;
+  StreamRuntime runtime(*world.provider, std::move(g), backend, cfg);
+  runtime.start();
+  world.engine.run_until(world.engine.now() + SimDuration::seconds(10));
+  runtime.stop();
+
+  PipelineRun out;
+  out.records = runtime.sink_stats(sink).records;
+  out.bytes = runtime.sink_stats(sink).bytes;
+  out.latency_ms = runtime.sink_stats(sink).latency_ms.values();
+  out.captured = std::move(captured);
+  return out;
+}
+
+void expect_identical(const PipelineRun& x, const PipelineRun& y) {
+  EXPECT_EQ(x.records, y.records);
+  EXPECT_EQ(x.bytes, y.bytes);
+  // Timing must match exactly, not approximately.
+  ASSERT_EQ(x.latency_ms.size(), y.latency_ms.size());
+  for (std::size_t i = 0; i < x.latency_ms.size(); ++i) {
+    ASSERT_EQ(x.latency_ms[i], y.latency_ms[i]) << "latency sample " << i;
+  }
+  ASSERT_EQ(x.captured.size(), y.captured.size());
+  for (std::size_t i = 0; i < x.captured.size(); ++i) {
+    const Record& r = x.captured[i];
+    const Record& s = y.captured[i];
+    ASSERT_EQ(r.event_time, s.event_time) << "record " << i;
+    ASSERT_EQ(r.key, s.key) << "record " << i;
+    ASSERT_EQ(r.value, s.value) << "record " << i;
+    ASSERT_EQ(r.wire_size, s.wire_size) << "record " << i;
+  }
+}
+
+TEST(StreamRuntimeTest, ExtraSinksLeaveTheMainPathUnchanged) {
+  for (const StageCosts& costs : {kIdleCosts, kBacklogCosts}) {
+    SCOPED_TRACE(costs.load);
+    const PipelineRun built = run_pipeline(/*extra_sinks=*/false, costs);
+    const PipelineRun tapped = run_pipeline(/*extra_sinks=*/true, costs);
+    ASSERT_GT(built.records, 0u);
+    ASSERT_GT(built.captured.size(), 0u);
+    expect_identical(built, tapped);
+  }
+}
+
+TEST(StreamRuntimeTest, PipelineRunsAreDeterministic) {
+  const PipelineRun first = run_pipeline(/*extra_sinks=*/false, kIdleCosts);
+  const PipelineRun second = run_pipeline(/*extra_sinks=*/false, kIdleCosts);
+  ASSERT_GT(first.records, 0u);
+  expect_identical(first, second);
 }
 
 }  // namespace
