@@ -3,10 +3,13 @@
 // 1 GB moves from North EU to North US while the transfer system is
 // restricted to 5%, 10% or 20% of each VM's resources (the shared-VM
 // deployment mode), using 1 to 5 sender VMs. Within each intrusiveness
-// segment the highest bar is the single-VM transfer; adding VMs shortens
-// the transfer sub-linearly (bounded NIC share, scatter overhead, VM
-// variability) — the observation that motivates fine-grained control of
-// the resource fraction.
+// segment the highest bar is the single-VM transfer, and each doubling of
+// the resource fraction roughly halves it — the observation that motivates
+// fine-grained control of that fraction. Adding VMs cuts the time about in
+// proportion to their number: the full grid reads 4.76x to 5.11x at 5 VMs,
+// and the speedup an added VM buys does not shrink (the 5% row gains 0.90x
+// from 3 to 4 VMs and 0.98x from 4 to 5). Only the seconds each added VM
+// saves shrink, as they do under any near-linear speedup.
 #include "bench_util.hpp"
 #include "net/transfer.hpp"
 
@@ -55,8 +58,8 @@ void run(BenchContext& ctx) {
   print_table(t);
   print_note(
       "\nShape check: each doubling of intrusiveness roughly halves the "
-      "single-VM time; extra VMs help sub-linearly and the marginal benefit "
-      "shrinks with each added node.");
+      "single-VM time; n VMs run close to n times faster than one, so each "
+      "added VM saves fewer seconds than the one before.");
 }
 
 }  // namespace
