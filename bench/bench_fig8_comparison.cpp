@@ -61,9 +61,13 @@ SimDuration run_cell(const Cell& c) {
           },
           size, seed);
     case System::kGlobus:
+      // GridFTP-style: a direct transfer whose stream count is tuned once
+      // at deployment, on dedicated transfer VMs, with no cloud awareness.
       return run_baseline(
           [](baselines::GatewayPool& pool) {
-            return std::make_unique<baselines::GlobusStaticBackend>(pool, 3);
+            net::TransferConfig config;
+            config.streams_per_hop = 3;
+            return std::make_unique<baselines::DirectBackend>(pool, config);
           },
           size, seed);
     case System::kSage: return run_sage(size, seed);

@@ -340,9 +340,7 @@ SoakResult run_soak(const SoakCell& c, SimDuration horizon) {
   const cloud::ShardPlan plan = cloud::plan_shards(*topo, c.shards);
   sim::ShardedSimEngine engine(
       sim::ShardedSimEngine::Options{plan.shards, plan.lookahead, true, 0});
-  const auto lane_of = [&](Region r) -> std::size_t {
-    return engine.collapsed() ? 0 : plan.shard(r);
-  };
+  const auto lane_of = [&](Region r) -> std::size_t { return plan.shard(r); };
 
   obs::ObsConfig cfg;
   cfg.tracing = false;

@@ -113,9 +113,7 @@ ShardResult run_one_sharded(const Cell& c, int shards) {
   const cloud::ShardPlan plan = cloud::plan_shards(*topo, static_cast<std::size_t>(shards));
   sim::ShardedSimEngine engine(
       sim::ShardedSimEngine::Options{plan.shards, plan.lookahead, true, 0});
-  const auto lane_of = [&](cloud::Region r) -> std::size_t {
-    return engine.collapsed() ? 0 : plan.shard(r);
-  };
+  const auto lane_of = [&](cloud::Region r) -> std::size_t { return plan.shard(r); };
 
   // One fabric per lane over ONE shared immutable topology. A directed pair's
   // flows all live in the fabric of the pair's src-region shard, and per-flow

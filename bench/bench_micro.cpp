@@ -106,28 +106,27 @@ void BM_EventQueue_Reschedule(benchmark::State& state) {
 BENCHMARK(BM_EventQueue_Reschedule)->Arg(64)->Arg(1024);
 
 void BM_ShardedWindow(benchmark::State& state) {
-  // Fixed cost of one lock-step window: 4 lanes fire one event each per
-  // window, driven by Arg threads (1 = inline on the caller). Each lane's
-  // tick re-arms one window ahead, so every iteration runs exactly one
-  // window with one event per lane.
-  constexpr std::size_t kLanes = 4;
+  // Fixed cost of one lock-step window: Arg 1, 2 and 4 drive 4 lanes on
+  // that many threads (1 = inline on the caller); Arg 0 is one lane, with
+  // the window as its lookahead. Each lane fires one event per window, and
+  // its tick re-arms one window ahead, so every iteration runs exactly one
+  // window.
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  const std::size_t lanes = threads == 0 ? 1 : 4;
   const SimDuration window = SimDuration::millis(1);
-  sim::ShardedSimEngine engine(sim::ShardedSimEngine::Options{
-      kLanes, window, true, static_cast<std::size_t>(state.range(0))});
+  sim::ShardedSimEngine engine(sim::ShardedSimEngine::Options{lanes, window, true, threads});
   struct Tick {
     sim::SimEngine* lane;
     SimDuration period;
     void operator()() const { lane->schedule_after(period, *this); }
   };
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     engine.shard(l).schedule_after(window / 2, Tick{&engine.shard(l), window});
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run_until(engine.now() + window));
-  }
+  for (auto _ : state) engine.run_until(engine.now() + window);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ShardedWindow)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_ShardedWindow)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_Settle(benchmark::State& state) {
   // All flows contend on one region-pair link: every refresh tick re-runs

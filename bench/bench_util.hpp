@@ -155,7 +155,7 @@ inline std::unique_ptr<core::SageEngine> deploy_sage(World& world,
 /// Build a full sharded SAGE deployment (one control-plane replica per
 /// engine lane, activity partitioned by source-region ownership — see
 /// core::ShardedSage) over a shared stable topology, then warm the map.
-/// shards <= 1 collapses to one plain lane.
+/// shards <= 1 runs one lane.
 inline std::unique_ptr<core::ShardedSage> deploy_sharded_sage(
     std::shared_ptr<const cloud::Topology> topology, std::uint64_t seed,
     const SageDeployOptions& opts, int shards) {

@@ -98,35 +98,6 @@ void SimpleParallelBackend::send(cloud::Region src, cloud::Region dst, Bytes siz
 }
 
 // ---------------------------------------------------------------------------
-// GlobusStatic: parameters fixed at deployment time, full NIC, no awareness.
-// ---------------------------------------------------------------------------
-
-GlobusStaticBackend::GlobusStaticBackend(GatewayPool& pool, int streams)
-    : pool_(pool), streams_(streams) {
-  SAGE_CHECK(streams_ >= 1);
-}
-
-void GlobusStaticBackend::send(cloud::Region src, cloud::Region dst, Bytes size,
-                               DoneFn done) {
-  SAGE_CHECK(done != nullptr);
-  reap(live_);
-  const cloud::VmId a = pool_.gateway(src);
-  const cloud::VmId b = pool_.gateway(dst);
-  net::TransferConfig config;
-  config.streams_per_hop = streams_;
-  config.intrusiveness = 1.0;  // a dedicated GridFTP server owns its box
-  const SimTime began = pool_.provider().engine().now();
-  auto transfer = std::make_unique<net::GeoTransfer>(
-      pool_.provider(), size, net::direct_lane(a, b), config,
-      [done = std::move(done), began, &engine = pool_.provider().engine()](
-          const net::TransferResult& r) {
-        done(stream::SendOutcome{r.ok, engine.now() - began});
-      });
-  transfer->start();
-  live_.push_back(std::move(transfer));
-}
-
-// ---------------------------------------------------------------------------
 // BlobRelay: write to the destination region's object store, then read.
 // ---------------------------------------------------------------------------
 

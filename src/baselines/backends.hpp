@@ -7,9 +7,6 @@
 //                           front, so one slow node drags the whole
 //                           transfer (the environment-oblivious strawman
 //                           the environment-aware comparison needs).
-//  * GlobusStaticBackend  — GridFTP-style: parameters (stream count) tuned
-//                           once at deployment time, full NIC usage, no
-//                           cloud awareness, direct route only.
 //  * BlobRelayBackend     — the only stock cloud offering: the source
 //                           writes the payload to the destination region's
 //                           object store, then the destination reads it
@@ -54,19 +51,6 @@ class SimpleParallelBackend final : public stream::TransferBackend {
   GatewayPool& pool_;
   int nodes_;
   net::TransferConfig config_;
-  std::vector<std::unique_ptr<net::GeoTransfer>> live_;
-};
-
-class GlobusStaticBackend final : public stream::TransferBackend {
- public:
-  explicit GlobusStaticBackend(GatewayPool& pool, int streams = 3);
-
-  void send(cloud::Region src, cloud::Region dst, Bytes size, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return "GlobusStatic"; }
-
- private:
-  GatewayPool& pool_;
-  int streams_;
   std::vector<std::unique_ptr<net::GeoTransfer>> live_;
 };
 

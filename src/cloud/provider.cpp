@@ -23,26 +23,15 @@ VariabilityParams cpu_variability() {
 }  // namespace
 
 CloudProvider::CloudProvider(sim::SimEngine& engine, Topology topology, std::uint64_t seed)
-    : engine_(engine), rng_(seed) {
-  fabric_ = std::make_unique<Fabric>(engine_, std::move(topology), rng_.next_u64());
-  // Region order defines blob RNG fork order — identical to the historical
-  // kAllRegions loop for the default topology.
-  const std::size_t n = fabric_->topology().region_count();
-  blobs_.reserve(n);
-  for (Region r : fabric_->topology().regions()) {
-    blobs_.push_back(std::make_unique<BlobService>(engine_, *fabric_, r, pricing_,
-                                                   meter_, rng_.next_u64()));
-  }
-  egress_billed_.assign(n, Bytes::zero());
-}
+    : CloudProvider(engine, std::make_shared<const Topology>(std::move(topology)), seed) {}
 
 CloudProvider::CloudProvider(sim::SimEngine& engine,
                              std::shared_ptr<const Topology> topology,
                              std::uint64_t seed)
     : engine_(engine), rng_(seed) {
-  // Same construction order as the owning ctor, so a shared-topology
-  // provider at the same seed is behaviourally identical.
   fabric_ = std::make_unique<Fabric>(engine_, std::move(topology), rng_.next_u64());
+  // Region order defines blob RNG fork order — identical to the historical
+  // kAllRegions loop for the default topology.
   const std::size_t n = fabric_->topology().region_count();
   blobs_.reserve(n);
   for (Region r : fabric_->topology().regions()) {

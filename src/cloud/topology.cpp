@@ -320,20 +320,12 @@ ShardPlan plan_shards(const Topology& topo, std::size_t shards) {
     // so shard cuts land on continent boundaries when S divides C.
     plan.shard_of[i] = static_cast<std::uint32_t>(i * plan.shards / n);
   }
-  plan.lookahead = SimDuration::max();
   for (const Topology::Edge& e : topo.edges()) {
     if (plan.shard(e.src) == plan.shard(e.dst)) continue;
     if (e.spec.latency < plan.lookahead) plan.lookahead = e.spec.latency;
   }
+  if (plan.lookahead <= SimDuration::zero()) return plan_shards(topo, 1);
   return plan;
-}
-
-std::vector<std::uint32_t> edge_owners(const Topology& topo, const ShardPlan& plan) {
-  SAGE_CHECK(plan.shard_of.size() == topo.region_count());
-  std::vector<std::uint32_t> owners;
-  owners.reserve(topo.edges().size());
-  for (const Topology::Edge& e : topo.edges()) owners.push_back(plan.shard(e.src));
-  return owners;
 }
 
 }  // namespace sage::cloud

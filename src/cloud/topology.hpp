@@ -192,30 +192,20 @@ struct ShardPlan {
   /// different shards: no cross-shard event can arrive sooner, so a shard
   /// may safely run this far ahead of its peers (the null-message insight).
   /// SimDuration::max() when no edge crosses shards (shards are fully
-  /// independent); zero when some cross-shard edge has no latency, in which
-  /// case the window degenerates and execution must fall back to sequential.
-  SimDuration lookahead = SimDuration::zero();
+  /// independent). Always positive: plan_shards never cuts a zero-latency
+  /// edge.
+  SimDuration lookahead = SimDuration::max();
 
   [[nodiscard]] std::uint32_t shard(Region r) const {
     return shard_of[region_index(r)];
-  }
-  /// True when parallel windows cannot make progress (lookahead <= 0 with
-  /// more than one shard). The sharded engine then runs one merged lane.
-  [[nodiscard]] bool degenerate() const {
-    return shards > 1 && lookahead <= SimDuration::zero();
   }
 };
 
 /// Plan a partition of `topo` across `shards` shards (clamped to
 /// [1, region_count]); computes the conservative lookahead from declared
-/// edge latencies. Deterministic: same topology + shard count, same plan.
+/// edge latencies. A cut across a zero-latency edge admits no window wider
+/// than a point, so such a topology gets the one-shard plan instead.
+/// Deterministic: same topology + shard count, same plan.
 [[nodiscard]] ShardPlan plan_shards(const Topology& topo, std::size_t shards);
-
-/// Owning shard of each declared edge, indexed by dense link id. An edge is
-/// owned by the shard of its *source* region, so all flows of a directed
-/// pair settle inside one shard's fabric regardless of where the payload
-/// terminates.
-[[nodiscard]] std::vector<std::uint32_t> edge_owners(const Topology& topo,
-                                                     const ShardPlan& plan);
 
 }  // namespace sage::cloud

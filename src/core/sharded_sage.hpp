@@ -28,7 +28,7 @@
 //     contends on a NIC with another lane's flows. Combined with a *stable*
 //     (noise-free) topology, flow rates — and thus every control decision —
 //     are invariant to the shard count: S ∈ {1,2,4,...} produce
-//     byte-identical scenario output, and S=1 collapses to one plain lane.
+//     byte-identical scenario output.
 //
 // What changes with S is only the wall clock: each lane's fabric holds just
 // its owned flows, so the fabric-wide max-min settlement sweeps (the
@@ -83,10 +83,8 @@ class ShardedSage {
   [[nodiscard]] sim::ShardedSimEngine& engine() { return *engine_; }
   [[nodiscard]] const cloud::ShardPlan& plan() const { return plan_; }
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
-  /// Lane owning `r`'s activity (0 for everything when collapsed).
-  [[nodiscard]] std::size_t lane_of(cloud::Region r) const {
-    return engine_->collapsed() ? 0 : plan_.shard(r);
-  }
+  /// Lane owning `r`'s activity.
+  [[nodiscard]] std::size_t lane_of(cloud::Region r) const { return plan_.shard(r); }
   [[nodiscard]] SageEngine& lane(std::size_t l) { return *lanes_[l]; }
   [[nodiscard]] cloud::CloudProvider& provider(std::size_t l) { return *providers_[l]; }
   /// Uniform sample report delay D applied on every lane.

@@ -13,6 +13,8 @@ namespace {
 constexpr ByteRate kProbeNic = ByteRate::mb_per_sec(125.0);
 /// Payload of one bandwidth probe.
 constexpr Bytes kProbeSize = Bytes::mb(8);
+/// Interval between CPU benchmarks on each agent VM.
+constexpr SimDuration kCpuProbeInterval = SimDuration::minutes(2);
 
 }  // namespace
 
@@ -152,7 +154,7 @@ void MonitoringService::start() {
   for (cloud::Region r : provider_.topology().regions()) {
     if (!agents_[cloud::region_index(r)]) continue;
     cpu_tasks_.push_back(std::make_unique<sim::PeriodicTask>(
-        engine_, config_.cpu_probe_interval, [this, r] { run_cpu_probe(r); }));
+        engine_, kCpuProbeInterval, [this, r] { run_cpu_probe(r); }));
     cpu_tasks_.back()->start();
   }
 }

@@ -121,14 +121,12 @@ struct ShardLane {
   std::function<void(cloud::Region, cloud::Region, double)> relay;
 };
 
-/// Every estimator runs at its default EstimatorConfig and every bandwidth
-/// probe carries 8 MB.
+/// Every estimator runs at its default EstimatorConfig, every bandwidth
+/// probe carries 8 MB, and each agent VM benchmarks its CPU every 2 minutes.
 struct MonitorConfig {
   EstimatorKind kind = EstimatorKind::kWeighted;
   /// Interval between probes of the same link.
   SimDuration probe_interval = SimDuration::minutes(5);
-  /// Interval between CPU benchmarks on each agent VM.
-  SimDuration cpu_probe_interval = SimDuration::minutes(2);
   /// Samples retained per link for profiling / introspection (the "tracked
   /// logs" scientists use to understand their cloud application and the
   /// base of the self-healing loop). 0 disables history.

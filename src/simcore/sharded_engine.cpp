@@ -21,32 +21,23 @@ SimTime saturating_add(SimTime start, SimDuration lookahead) {
   return start + lookahead;
 }
 
-/// Horizon that runs a lane dry and leaves its clock at the last fired
-/// event instead of jumping to infinity.
-constexpr SimTime kDrain = SimTime::from_micros(std::numeric_limits<std::int64_t>::max());
-
 }  // namespace
 
-ShardedSimEngine::ShardedSimEngine(Options opts)
-    : shards_(std::max<std::size_t>(opts.shards, 1)), lookahead_(opts.lookahead) {
-  // S=1 needs no coordination at all; a degenerate horizon (a zero-latency
-  // cross-shard edge) admits no parallel window wider than a point, so both
-  // collapse to one pass-through lane instead of deadlocking.
-  const bool collapse = shards_ == 1 || lookahead_ <= SimDuration::zero();
-  const std::size_t lanes = collapse ? 1 : shards_;
+ShardedSimEngine::ShardedSimEngine(Options opts) : lookahead_(opts.lookahead) {
+  SAGE_CHECK_MSG(lookahead_ > SimDuration::zero(), "lookahead must be positive");
+  const std::size_t lanes = std::max<std::size_t>(opts.shards, 1);
   lanes_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) lanes_.push_back(std::make_unique<SimEngine>());
   outbox_.resize(lanes * lanes);
   outbox_seq_.assign(lanes, 0);
-  fired_by_lane_.assign(lanes, 0);
   // The calling thread is worker 0; width 1 runs lanes inline.
   const std::size_t width = std::min<std::size_t>(
       opts.parallel ? lanes : 1,
       opts.max_workers != 0 ? opts.max_workers
                             : std::max(std::thread::hardware_concurrency(), 1u));
+  stripe_error_.resize(width);
   if (width == 1) return;
   barrier_.emplace(static_cast<std::ptrdiff_t>(width));
-  stripe_error_.resize(width);
   helpers_.reserve(width - 1);
   for (std::size_t w = 1; w < width; ++w) helpers_.emplace_back([this, w] { helper_loop(w); });
 }
@@ -69,24 +60,15 @@ void ShardedSimEngine::helper_loop(std::size_t w) {
 }
 
 SimEngine& ShardedSimEngine::shard(std::size_t s) {
-  SAGE_CHECK_MSG(s < shards_, "shard index out of range");
-  return collapsed() ? *lanes_.front() : *lanes_[s];
-}
-
-SimTime ShardedSimEngine::now() const {
-  return collapsed() ? lanes_.front()->now() : now_;
+  SAGE_CHECK_MSG(s < lanes_.size(), "shard index out of range");
+  return *lanes_[s];
 }
 
 void ShardedSimEngine::post(std::size_t src, std::size_t dst, SimDuration delay,
                             Callback fn) {
-  SAGE_CHECK_MSG(src < shards_ && dst < shards_, "shard index out of range");
+  SAGE_CHECK_MSG(src < lanes_.size() && dst < lanes_.size(), "shard index out of range");
   SAGE_CHECK_MSG(!delay.is_negative(), "negative cross-shard delay");
   SAGE_CHECK(fn != nullptr);
-  if (collapsed()) {
-    // One merged lane: a cross-shard post is an ordinary local event.
-    lanes_.front()->schedule_after(delay, std::move(fn));
-    return;
-  }
   SimEngine& lane = *lanes_[src];
   if (src == dst) {
     lane.schedule_after(delay, std::move(fn));
@@ -142,17 +124,14 @@ bool ShardedSimEngine::earliest_event(SimTime* t) const {
   return any;
 }
 
-void ShardedSimEngine::advance(std::size_t lane) {
-  SimEngine& e = *lanes_[lane];
-  fired_by_lane_[lane] += horizon_ == kDrain ? e.run() : e.run_until(horizon_);
-}
-
 void ShardedSimEngine::run_stripe(std::size_t w) {
-  // Each lane has exactly one driver per window and fired_by_lane_ slots are
-  // lane-indexed, so results and counters are width independent.
+  // Each lane has exactly one driver per window, so results are width
+  // independent.
   const std::size_t width = helpers_.size() + 1;
   try {
-    for (std::size_t lane = w; lane < lanes_.size(); lane += width) advance(lane);
+    for (std::size_t lane = w; lane < lanes_.size(); lane += width) {
+      lanes_[lane]->run_until(horizon_);
+    }
   } catch (...) {
     stripe_error_[w] = std::current_exception();
   }
@@ -160,29 +139,20 @@ void ShardedSimEngine::run_stripe(std::size_t w) {
 
 void ShardedSimEngine::run_lanes(SimTime horizon) {
   horizon_ = horizon;
-  if (helpers_.empty()) {
-    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) advance(lane);
-  } else {
-    barrier_->arrive_and_wait();  // start: helpers read horizon_
-    run_stripe(0);
-    barrier_->arrive_and_wait();  // finish: every helper is parked again
-    std::exception_ptr first;
-    for (std::exception_ptr& err : stripe_error_) {
-      if (!first) first = err;
-      err = nullptr;
-    }
-    if (first) std::rethrow_exception(first);
+  if (!helpers_.empty()) barrier_->arrive_and_wait();  // start: helpers read horizon_
+  run_stripe(0);
+  if (!helpers_.empty()) barrier_->arrive_and_wait();  // finish: every helper is parked
+  std::exception_ptr first;
+  for (std::exception_ptr& err : stripe_error_) {
+    if (!first) first = err;
+    err = nullptr;
   }
+  if (first) std::rethrow_exception(first);
   ++windows_;
-  std::uint64_t fired = 0;
-  for (std::uint64_t f : fired_by_lane_) fired += f;
-  window_fired_ = fired;
 }
 
-std::uint64_t ShardedSimEngine::run_until(SimTime t) {
-  SAGE_CHECK(t >= now());
-  if (collapsed()) return lanes_.front()->run_until(t);
-  const std::uint64_t before = window_fired_;
+void ShardedSimEngine::run_until(SimTime t) {
+  SAGE_CHECK(t >= now_);
   for (;;) {
     // Drain first so records posted during the previous window join the
     // earliest-event scan below (they may fall inside [now, t]).
@@ -199,30 +169,6 @@ std::uint64_t ShardedSimEngine::run_until(SimTime t) {
   }
   for (auto& lane : lanes_) lane->run_until(t);  // advance clocks; fires nothing
   now_ = t;
-  return window_fired_ - before;
-}
-
-std::uint64_t ShardedSimEngine::run() {
-  if (collapsed()) return lanes_.front()->run();
-  const std::uint64_t before = window_fired_;
-  if (lookahead_ == SimDuration::max()) {
-    // No declared cross-shard edge: post() can never satisfy the horizon
-    // CHECK, so lanes are fully independent and drain in one pass.
-    drain_mailboxes();
-    run_lanes(kDrain);
-    for (const auto& lane : lanes_) now_ = std::max(now_, lane->now());
-    return window_fired_ - before;
-  }
-  for (;;) {
-    drain_mailboxes();
-    SimTime earliest;
-    if (!earliest_event(&earliest)) break;
-    const SimTime start = std::max(now_, earliest);
-    const SimTime end = saturating_add(start, lookahead_);
-    run_lanes(end);
-    now_ = end;
-  }
-  return window_fired_ - before;
 }
 
 std::uint64_t ShardedSimEngine::events_fired() const {
@@ -240,13 +186,6 @@ std::uint64_t ShardedSimEngine::events_scheduled() const {
 std::uint64_t ShardedSimEngine::events_cancelled() const {
   std::uint64_t n = 0;
   for (const auto& lane : lanes_) n += lane->events_cancelled();
-  return n;
-}
-
-std::size_t ShardedSimEngine::live_events() const {
-  std::size_t n = 0;
-  for (const auto& lane : lanes_) n += lane->live_events();
-  for (const auto& box : outbox_) n += box.size();
   return n;
 }
 

@@ -17,15 +17,17 @@
 //     deterministic order — records sorted by (arrival time, src shard,
 //     per-src sequence) — into the destination lanes.
 // A given shard count therefore always produces identical results at any
-// worker count (lanes are data-independent within a window), and S=1
-// collapses to a single pass-through lane that is bit-for-bit the plain
-// engine. A degenerate horizon (lookahead <= 0 with S > 1, e.g. a topology
-// with a zero-latency cross-shard edge) also collapses to one sequential
-// lane instead of deadlocking on empty windows.
+// worker count (lanes are data-independent within a window). Every shard
+// count runs this one window loop: at width 1 the caller's stripe is every
+// lane, and one lane with the plan's unbounded lookahead takes one window per
+// run_until call and fires the same events, in the same order, as a plain
+// SimEngine. The lookahead must be positive — a zero horizon admits no
+// window wider than a point — so cloud::plan_shards never cuts a
+// zero-latency edge: it returns a one-shard plan instead.
 //
 // Contract for lane callbacks: while a window is running, a callback on
 // shard s may schedule on its own lane (shard(s).schedule_*) or cross-shard
-// via post(s, dst, delay, fn) with delay >= lookahead(); it must not touch
+// via post(s, dst, delay, fn) with delay >= the lookahead; it must not touch
 // any other lane directly. Between runs (setup, teardown) any thread may do
 // anything — the coordinator is quiescent.
 #pragma once
@@ -49,12 +51,12 @@ class ShardedSimEngine {
   using Callback = SimEngine::Callback;
 
   struct Options {
-    /// Number of shards (clamped to >= 1).
+    /// Number of shards, one event lane each (clamped to >= 1).
     std::size_t shards = 1;
     /// Conservative lookahead horizon (minimum cross-shard one-way latency;
-    /// see cloud::plan_shards). <= 0 with shards > 1 means degenerate: the
-    /// engine falls back to one sequential lane.
-    SimDuration lookahead = SimDuration::zero();
+    /// see cloud::plan_shards); must be positive. SimDuration::max() when no
+    /// edge crosses shards.
+    SimDuration lookahead = SimDuration::max();
     /// Drive lanes on several threads. false runs the same lanes in shard
     /// order on the calling thread — identical results by contract, which
     /// the differential tests assert.
@@ -66,53 +68,38 @@ class ShardedSimEngine {
   };
 
   explicit ShardedSimEngine(Options opts);
-  ShardedSimEngine(std::size_t shards, SimDuration lookahead)
-      : ShardedSimEngine(Options{shards, lookahead, true, 0}) {}
   ~ShardedSimEngine();
   ShardedSimEngine(const ShardedSimEngine&) = delete;
   ShardedSimEngine& operator=(const ShardedSimEngine&) = delete;
 
-  /// Shards requested (after clamping to >= 1).
-  [[nodiscard]] std::size_t shard_count() const { return shards_; }
-  /// Physical event lanes: shard_count(), or 1 when collapsed (S=1 or a
-  /// degenerate lookahead).
+  /// Event lanes, one per shard.
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
-  [[nodiscard]] bool collapsed() const { return lanes_.size() == 1; }
-  [[nodiscard]] SimDuration lookahead() const { return lookahead_; }
 
-  /// The lane owning shard `s`. When collapsed, every shard maps to lane 0.
+  /// The lane owning shard `s`.
   [[nodiscard]] SimEngine& shard(std::size_t s);
 
   /// Completed horizon: every lane has processed all events <= now().
-  [[nodiscard]] SimTime now() const;
+  [[nodiscard]] SimTime now() const { return now_; }
 
   /// Cross-shard schedule: run `fn` on shard `dst` at src-lane-now + delay.
   /// Must be called from shard `src`'s execution context (its lane callback,
-  /// or any thread while the coordinator is quiescent). With multiple lanes,
-  /// src != dst requires delay >= lookahead() — the conservative horizon is
-  /// exactly the promise that no shorter cross-shard delay exists.
-  /// src == dst schedules directly on the lane.
+  /// or any thread while the coordinator is quiescent). src != dst requires
+  /// delay >= the lookahead — the conservative horizon is exactly the
+  /// promise that no shorter cross-shard delay exists. src == dst schedules
+  /// directly on the lane.
   void post(std::size_t src, std::size_t dst, SimDuration delay, Callback fn);
 
-  /// Run until every lane drains and every mailbox is empty.
-  /// Returns events fired.
-  std::uint64_t run();
-
   /// Run all events with timestamp <= t on every lane (advancing each lane's
-  /// clock to t), in lock-step windows of length <= lookahead().
-  std::uint64_t run_until(SimTime t);
+  /// clock to t), in lock-step windows of length <= the lookahead.
+  void run_until(SimTime t);
 
   // Aggregates over all lanes (read when quiescent).
   [[nodiscard]] std::uint64_t events_fired() const;
   [[nodiscard]] std::uint64_t events_scheduled() const;
   [[nodiscard]] std::uint64_t events_cancelled() const;
-  /// Pending events summed over lanes plus undelivered mailbox posts —
-  /// zero means the whole sharded world is idle (scenario drivers use this
-  /// for quantized predicate waits).
-  [[nodiscard]] std::size_t live_events() const;
   /// Cross-lane mailbox records delivered at barriers so far.
   [[nodiscard]] std::uint64_t cross_posts() const { return cross_posts_; }
-  /// Lock-step windows executed so far (0 when collapsed).
+  /// Lock-step windows executed so far.
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
 
  private:
@@ -128,28 +115,23 @@ class ShardedSimEngine {
   void drain_mailboxes();
   /// Earliest live event over all lanes; false when every lane is empty.
   bool earliest_event(SimTime* t) const;
-  /// Advance every lane to `horizon` (worker stripes, or shard order
-  /// inline). Counts fired events into fired_by_lane_.
+  /// Advance every lane to `horizon`: the caller drives stripe 0, and helper
+  /// threads, when there are any, drive the others.
   void run_lanes(SimTime horizon);
-  /// Advance lane `lane` to horizon_.
-  void advance(std::size_t lane);
-  /// Advance worker `w`'s lanes (w, w + width, ...), keeping what they throw
-  /// in stripe_error_[w].
+  /// Advance worker `w`'s lanes (w, w + width, ...) to horizon_, keeping
+  /// what they throw in stripe_error_[w].
   void run_stripe(std::size_t w);
   /// Helper thread body: one stripe per window until the destructor stops it.
   void helper_loop(std::size_t w);
 
-  std::size_t shards_ = 1;
-  SimDuration lookahead_ = SimDuration::zero();
+  SimDuration lookahead_;
   SimTime now_ = SimTime::epoch();
   std::vector<std::unique_ptr<SimEngine>> lanes_;
   // outbox_[src * lane_count + dst]; only shard src's lane thread appends
   // during a window, so rows never race.
   std::vector<std::vector<Post>> outbox_;
-  std::vector<std::uint64_t> outbox_seq_;    // per src shard
-  std::vector<std::uint64_t> fired_by_lane_;  // window scratch, lane-indexed
+  std::vector<std::uint64_t> outbox_seq_;  // per src shard
   std::vector<Post> merge_scratch_;
-  std::uint64_t window_fired_ = 0;  // total fired through run_lanes
   std::uint64_t cross_posts_ = 0;
   std::uint64_t windows_ = 0;
   // The current window's end. In parallel windows the caller writes

@@ -70,9 +70,7 @@ std::string chaos_digest(const EngineKnobs& knobs) {
   const cloud::ShardPlan plan = cloud::plan_shards(*topo, knobs.shards);
   sim::ShardedSimEngine engine(sim::ShardedSimEngine::Options{
       plan.shards, plan.lookahead, knobs.parallel, knobs.max_workers});
-  const auto lane_of = [&](Region r) -> std::size_t {
-    return engine.collapsed() ? 0 : plan.shard(r);
-  };
+  const auto lane_of = [&](Region r) -> std::size_t { return plan.shard(r); };
 
   obs::ObsConfig cfg;
   cfg.tracing = false;

@@ -124,7 +124,6 @@ TEST_F(MonitoringFixture, StopHaltsProbing) {
 }
 
 TEST_F(MonitoringFixture, CpuEstimateIsNearNominal) {
-  config.cpu_probe_interval = SimDuration::minutes(1);
   auto service = make({kNEU, kNUS});
   service->start();
   world.engine.run_until(world.engine.now() + SimDuration::hours(2));

@@ -1,9 +1,9 @@
-// ShardedSimEngine contract tests: S=1 collapse to the plain engine,
+// ShardedSimEngine contract tests: one lane against the plain engine,
 // deterministic cross-shard mailbox ordering, the conservative lookahead
-// horizon, lane failures in parallel windows, degenerate-lookahead fallback
-// (including a zero-latency cross-shard edge), shard planning, and the
-// sharded-vs-sequential fabric differential at awkward shard counts and
-// thread counts.
+// horizon, lane failures in parallel windows, the positive-lookahead check
+// (and the one-shard plan a zero-latency cross-shard edge gets), shard
+// planning, and the sharded-vs-sequential fabric differential at awkward
+// shard counts and thread counts.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,43 +23,59 @@ namespace {
 using cloud::Region;
 using cloud::make_region;
 
-// -- Kernel: S=1 collapse ----------------------------------------------------
+// -- Kernel: one lane --------------------------------------------------------
 
-TEST(ShardedEngine, SingleShardCollapsesToPlainEngine) {
+TEST(ShardedEngine, SingleLaneMatchesPlainEngine) {
+  // One lane with the plan's unbounded lookahead runs the same window loop
+  // as every other shard count, one window per run_until call, and fires
+  // the plain engine's events in the plain engine's order.
   SimEngine plain;
-  ShardedSimEngine sharded(/*shards=*/1, SimDuration::millis(10));
-  ASSERT_TRUE(sharded.collapsed());
+  ShardedSimEngine sharded(ShardedSimEngine::Options{});
   ASSERT_EQ(sharded.lane_count(), 1u);
 
-  // Identical schedule on both engines, including a cancellation.
+  // Identical schedule on both engines: an equal-time tie, a cancellation,
+  // a reschedule, and a callback that schedules more work, part of it past
+  // the next horizon.
   std::vector<int> a, b;
   const auto load = [](SimEngine& e, std::vector<int>& out) {
     e.schedule_at(SimTime::from_micros(300), [&out] { out.push_back(3); });
-    e.schedule_at(SimTime::from_micros(100), [&out] { out.push_back(1); });
+    e.schedule_at(SimTime::from_micros(100), [&out, ep = &e] {
+      out.push_back(1);
+      ep->schedule_after(SimDuration::micros(50), [&out] { out.push_back(4); });
+      ep->schedule_after(SimDuration::micros(450), [&out] { out.push_back(6); });
+    });
     EventHandle dead = e.schedule_at(SimTime::from_micros(200), [&out] { out.push_back(9); });
     e.schedule_at(SimTime::from_micros(100), [&out] { out.push_back(2); });
+    const EventHandle moved =
+        e.schedule_at(SimTime::from_micros(120), [&out] { out.push_back(5); });
     dead.cancel();
+    e.reschedule(moved, SimTime::from_micros(400));
   };
   load(plain, a);
   load(sharded.shard(0), b);
 
-  EXPECT_EQ(plain.run_until(SimTime::from_micros(500)),
-            sharded.run_until(SimTime::from_micros(500)));
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(plain.now(), sharded.now());
-  EXPECT_EQ(plain.events_fired(), sharded.events_fired());
-  EXPECT_EQ(plain.events_scheduled(), sharded.events_scheduled());
-  EXPECT_EQ(plain.events_cancelled(), sharded.events_cancelled());
-  EXPECT_EQ(sharded.windows_run(), 0u) << "collapsed mode runs no windows";
+  for (const std::int64_t t : {250, 500, 800}) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    plain.run_until(SimTime::from_micros(t));
+    sharded.run_until(SimTime::from_micros(t));
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(plain.now(), sharded.now());
+    EXPECT_EQ(plain.events_fired(), sharded.events_fired());
+    EXPECT_EQ(plain.events_scheduled(), sharded.events_scheduled());
+    EXPECT_EQ(plain.events_cancelled(), sharded.events_cancelled());
+  }
+  EXPECT_EQ(b, std::vector<int>({1, 2, 4, 3, 5, 6}));
+  EXPECT_EQ(sharded.windows_run(), 3u) << "one window per run_until call";
 }
 
-TEST(ShardedEngine, CollapsedPostIsAnOrdinaryLocalEvent) {
-  ShardedSimEngine e(/*shards=*/1, SimDuration::millis(10));
+TEST(ShardedEngine, OneLanePostIsAnOrdinaryLocalEvent) {
+  ShardedSimEngine e(ShardedSimEngine::Options{1, SimDuration::millis(10), true, 0});
   std::vector<int> fired;
-  // Any (src, dst) pair is legal when collapsed, at any delay.
+  // A same-shard post has no horizon to respect, so any delay is legal.
   e.post(0, 0, SimDuration::micros(5), [&fired] { fired.push_back(1); });
-  e.run();
+  e.run_until(SimTime::from_micros(100));
   EXPECT_EQ(fired, std::vector<int>({1}));
+  EXPECT_EQ(e.events_fired(), 1u);
 }
 
 // -- Cross-shard ordering ----------------------------------------------------
@@ -83,21 +99,22 @@ TEST(ShardedEngine, MailboxMergeOrdersByTimeSrcShardSeq) {
     e.post(0, 1, SimDuration::millis(12), [&order] { order.push_back("s0-late"); });
     e.post(0, 1, SimDuration::millis(10), [&order] { order.push_back("s0#1"); });
   });
-  e.run();
+  e.run_until(SimTime::from_micros(20000));
   EXPECT_EQ(order, std::vector<std::string>(
                        {"s0#0", "s0#1", "s2#0", "s2#1", "s0-late"}));
   EXPECT_EQ(e.cross_posts(), 5u);
 }
 
 TEST(ShardedEngine, PostBelowLookaheadHorizonIsRejected) {
-  ShardedSimEngine e(/*shards=*/2, SimDuration::millis(10));
-  ASSERT_FALSE(e.collapsed());
+  ShardedSimEngine e(ShardedSimEngine::Options{2, SimDuration::millis(10), true, 0});
+  ASSERT_EQ(e.lane_count(), 2u);
   EXPECT_THROW(e.post(0, 1, SimDuration::millis(5), [] {}), CheckFailure);
   // Local posts are exempt — no horizon between a shard and itself.
   e.post(0, 0, SimDuration::millis(5), [] {});
   // At exactly the horizon is legal.
   e.post(0, 1, SimDuration::millis(10), [] {});
-  EXPECT_EQ(e.run(), 2u);
+  e.run_until(SimTime::from_micros(20000));
+  EXPECT_EQ(e.events_fired(), 2u);
 }
 
 TEST(ShardedEngine, ConservativeWindowsNeverOvertakeCrossShardArrivals) {
@@ -122,7 +139,7 @@ TEST(ShardedEngine, ChainedCrossPostsAtHorizonMultiplesAllArrive) {
   // Ping-pong a token around S shards: each hop is exactly one horizon.
   constexpr std::size_t kShards = 4;
   constexpr int kHops = 25;
-  ShardedSimEngine e(/*shards=*/kShards, SimDuration::millis(1));
+  ShardedSimEngine e(ShardedSimEngine::Options{kShards, SimDuration::millis(1), true, 0});
   ASSERT_EQ(e.lane_count(), kShards);
   std::vector<std::uint64_t> hop_count(kShards, 0);
 
@@ -135,14 +152,15 @@ TEST(ShardedEngine, ChainedCrossPostsAtHorizonMultiplesAllArrive) {
            [&bounce, next, left] { bounce(next, left - 1); });
   };
   e.shard(0).schedule_at(SimTime::epoch(), [&bounce] { bounce(0, kHops); });
-  e.run();
+  // The last hop lands at kHops ms; run well past it.
+  const SimTime end = SimTime::epoch() + SimDuration::millis(2 * kHops);
+  e.run_until(end);
   std::uint64_t total = 0;
   for (std::uint64_t h : hop_count) total += h;
   EXPECT_EQ(total, static_cast<std::uint64_t>(kHops) + 1);
+  EXPECT_EQ(e.events_fired(), static_cast<std::uint64_t>(kHops) + 1);
   EXPECT_EQ(e.cross_posts(), static_cast<std::uint64_t>(kHops));
-  // run() leaves the horizon at the final window's end, at or past the last
-  // event (the plain engine's last-event clock is a lane-level property).
-  EXPECT_GE(e.now(), SimTime::epoch() + SimDuration::millis(kHops));
+  EXPECT_EQ(e.now(), end);
 }
 
 TEST(ShardedEngine, LaneFailureInParallelWindowSurfacesFromRun) {
@@ -165,26 +183,24 @@ TEST(ShardedEngine, LaneFailureInParallelWindowSurfacesFromRun) {
   }
 }
 
-// -- Degenerate lookahead ----------------------------------------------------
+// -- Positive lookahead ------------------------------------------------------
 
-TEST(ShardedEngine, ZeroLookaheadFallsBackToOneSequentialLane) {
-  ShardedSimEngine e(/*shards=*/4, SimDuration::zero());
-  EXPECT_TRUE(e.collapsed());
-  EXPECT_EQ(e.lane_count(), 1u);
-  // All four shards alias one lane; instant cross-shard posts are legal and
-  // the run terminates instead of spinning on zero-width windows.
-  std::vector<int> fired;
-  e.shard(2).schedule_at(SimTime::epoch(), [&e, &fired] {
-    fired.push_back(1);
-    e.post(2, 3, SimDuration::zero(), [&fired] { fired.push_back(2); });
-  });
-  EXPECT_EQ(e.run(), 2u);
-  EXPECT_EQ(fired, std::vector<int>({1, 2}));
+TEST(ShardedEngine, NonPositiveLookaheadIsRejected) {
+  // A zero horizon admits no window wider than a point, so the engine
+  // refuses it at any shard count instead of spinning on empty windows.
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    for (const SimDuration lookahead : {SimDuration::zero(), SimDuration::micros(-1)}) {
+      EXPECT_THROW(ShardedSimEngine(ShardedSimEngine::Options{shards, lookahead, true, 0}),
+                   CheckFailure);
+    }
+  }
 }
 
 TEST(ShardedEngine, ZeroLatencyCrossShardEdgeDoesNotDeadlock) {
-  // A topology whose only cross-shard edge has zero latency: the planned
-  // lookahead degenerates to zero and the engine must run sequentially.
+  // A topology whose only cross-shard edge has zero latency: the planner
+  // keeps that edge inside one shard, so the engine runs one lane with an
+  // unbounded lookahead.
   cloud::TopologyBuilder b(2);
   const auto stable = cloud::VariabilityParams::stable();
   const cloud::PairLinkSpec intra{ByteRate::megabits_per_sec(10000),
@@ -199,11 +215,12 @@ TEST(ShardedEngine, ZeroLatencyCrossShardEdgeDoesNotDeadlock) {
   const auto topo = std::make_shared<const cloud::Topology>(b.build());
 
   const cloud::ShardPlan plan = cloud::plan_shards(*topo, 2);
-  EXPECT_EQ(plan.lookahead, SimDuration::zero());
-  EXPECT_TRUE(plan.degenerate());
+  EXPECT_EQ(plan.shards, 1u);
+  EXPECT_EQ(plan.lookahead, SimDuration::max());
+  EXPECT_EQ(plan.shard(make_region(1)), 0u);
 
   ShardedSimEngine e(ShardedSimEngine::Options{plan.shards, plan.lookahead, true, 0});
-  EXPECT_TRUE(e.collapsed()) << "degenerate horizon must not spawn lanes";
+  ASSERT_EQ(e.lane_count(), 1u);
   cloud::Fabric fabric(e.shard(0), topo, /*seed=*/7);
   const auto src = fabric.add_node(make_region(0), ByteRate::megabits_per_sec(100),
                                    ByteRate::megabits_per_sec(100));
@@ -256,7 +273,6 @@ TEST(ShardPlan, LookaheadIsMinimumCrossShardLatency) {
   ASSERT_TRUE(any);
   EXPECT_EQ(plan.lookahead, expect);
   EXPECT_GT(plan.lookahead, SimDuration::zero());
-  EXPECT_FALSE(plan.degenerate());
 }
 
 TEST(ShardPlan, NoCrossShardEdgesMeansUnboundedLookahead) {
@@ -271,27 +287,18 @@ TEST(ShardPlan, NoCrossShardEdgesMeansUnboundedLookahead) {
   const cloud::Topology topo = b.build();
   const cloud::ShardPlan plan = cloud::plan_shards(topo, 2);
   EXPECT_EQ(plan.lookahead, SimDuration::max());
-  EXPECT_FALSE(plan.degenerate());
 
-  // Independent lanes drain in one pass without overflowing the window math.
+  // Independent lanes run in one window without overflowing the window math.
   ShardedSimEngine e(ShardedSimEngine::Options{plan.shards, plan.lookahead, true, 0});
   ASSERT_EQ(e.lane_count(), 2u);
   std::vector<std::uint64_t> fired(2, 0);
   e.shard(0).schedule_at(SimTime::from_micros(50), [&fired] { ++fired[0]; });
   e.shard(1).schedule_at(SimTime::from_micros(70), [&fired] { ++fired[1]; });
-  EXPECT_EQ(e.run(), 2u);
+  e.run_until(SimTime::from_micros(1000));
+  EXPECT_EQ(e.events_fired(), 2u);
   EXPECT_EQ(fired[0], 1u);
   EXPECT_EQ(fired[1], 1u);
-}
-
-TEST(ShardPlan, EdgeOwnersFollowSourceRegion) {
-  const cloud::Topology topo = cloud::ring_of_continents(16, 8, /*stable=*/true);
-  const cloud::ShardPlan plan = cloud::plan_shards(topo, 4);
-  const std::vector<std::uint32_t> owners = cloud::edge_owners(topo, plan);
-  ASSERT_EQ(owners.size(), topo.edges().size());
-  for (std::size_t i = 0; i < owners.size(); ++i) {
-    EXPECT_EQ(owners[i], plan.shard(topo.edges()[i].src));
-  }
+  EXPECT_EQ(e.windows_run(), 1u);
 }
 
 // -- Sharded-vs-sequential fabric differential -------------------------------
@@ -314,9 +321,7 @@ WorldOutcome run_sharded_world(std::size_t shards, bool parallel) {
   const cloud::ShardPlan plan = cloud::plan_shards(*topo, shards);
   ShardedSimEngine engine(
       ShardedSimEngine::Options{plan.shards, plan.lookahead, parallel, 0});
-  const auto lane_of = [&](Region r) -> std::size_t {
-    return engine.collapsed() ? 0 : plan.shard(r);
-  };
+  const auto lane_of = [&](Region r) -> std::size_t { return plan.shard(r); };
 
   std::vector<std::unique_ptr<cloud::Fabric>> fabrics;
   for (std::size_t l = 0; l < engine.lane_count(); ++l) {
@@ -389,7 +394,7 @@ WorldOutcome run_sharded_world(std::size_t shards, bool parallel) {
 }
 
 TEST(ShardedFabric, AwkwardShardCountsMatchSequentialBaseline) {
-  // S=1 runs one fabric on one collapsed lane: the true sequential baseline.
+  // S=1 runs one fabric on one lane: the true sequential baseline.
   const WorldOutcome base = run_sharded_world(1, /*parallel=*/false);
   ASSERT_GT(base.completed, 0);
   ASSERT_GT(base.relays, 0);

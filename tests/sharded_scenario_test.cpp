@@ -5,7 +5,7 @@
 // monitoring probes, tradeoff resolution, multipath planning, adaptive
 // chunked transfers, self-healing — partitioned across S engine lanes by
 // source-region ownership produces *byte-identical* scenario results for
-// S in {1, 2, 4}, for the sequential lane fallback and 1/4 pool workers,
+// S in {1, 2, 4}, for inline lanes and 1/4 lane-driving threads,
 // and with a chaos schedule (region outage landing mid-transfer, capacity
 // squeeze, estimator poisoning) applied to every lane. The digest covers
 // every control-plane observable: per-send outcomes in issue order, the
