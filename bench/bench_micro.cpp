@@ -371,7 +371,9 @@ void run_keyed_aggregate(benchmark::State& state, stream::AggregateFn fn, std::s
                          const std::vector<stream::RecordBatch>& batches) {
   std::vector<stream::WindowAggregateOperator> ops;
   ops.reserve(sites);
-  for (std::size_t i = 0; i < sites; ++i) ops.emplace_back("agg", SimDuration::seconds(1), fn);
+  for (std::size_t i = 0; i < sites; ++i) {
+    ops.emplace_back("agg", SimDuration::seconds(1), SimDuration::seconds(1), fn);
+  }
   stream::RecordBatch none;
   stream::RecordBatch out;
   std::int64_t records = 0;
@@ -414,13 +416,10 @@ void BM_KeyedAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyedAggregate)->Arg(1 << 10)->Arg(1 << 16);
 
-void BM_KeyedAggregate_GeoStream(benchmark::State& state) {
-  // geo-stream's per-site window: Zipf(20k keys, skew 1.1) clicks that
-  // survive the key % 11 != 3 bot filter, ~900-record batches (100 ms of a
-  // 10k rec/s source), kCount, and a flush every 50 batches (a 5 s window).
-  // `range(0)` sites take turns, each with its own window state, so at 6
-  // (the workload's site count) five other states are touched between two
-  // batches of one site.
+/// geo-stream's per-site window input for 5 s: Zipf(20k keys, skew 1.1)
+/// clicks that survive the key % 11 != 3 bot filter, in 50 ~900-record
+/// batches (100 ms each of a 10k rec/s source).
+std::vector<stream::RecordBatch> geo_stream_batches() {
   constexpr std::size_t kSourceBatch = 1000;
   const ZipfSampler zipf(20000, 1.1);
   std::vector<stream::RecordBatch> batches;
@@ -435,10 +434,89 @@ void BM_KeyedAggregate_GeoStream(benchmark::State& state) {
     }
     batches.push_back(std::move(in));
   }
+  return batches;
+}
+
+void BM_KeyedAggregate_GeoStream(benchmark::State& state) {
+  // geo-stream's per-site window: geo_stream_batches() into kCount, and a
+  // flush every 50 batches (a 5 s window). `range(0)` sites take turns,
+  // each with its own window state, so at 6 (the workload's site count)
+  // five other states are touched between two batches of one site.
   run_keyed_aggregate(state, stream::AggregateFn::kCount,
-                      static_cast<std::size_t>(state.range(0)), batches);
+                      static_cast<std::size_t>(state.range(0)), geo_stream_batches());
 }
 BENCHMARK(BM_KeyedAggregate_GeoStream)->Arg(1)->Arg(6);
+
+void BM_SlidingWindowAggregate(benchmark::State& state) {
+  // A 30 s mean sliding every 5 s (six panes) over geo_stream_batches(),
+  // built through make_sliding_window_aggregate: 50 batches per slide,
+  // then an emission that combines the six panes and flushes them.
+  const std::vector<stream::RecordBatch> batches = geo_stream_batches();
+  const auto op = stream::make_sliding_window_aggregate(
+      "mean", SimDuration::seconds(30), SimDuration::seconds(5), stream::AggregateFn::kMean);
+  stream::RecordBatch none;
+  stream::RecordBatch out;
+  std::int64_t records = 0;
+  std::size_t b = 0;
+  for (auto _ : state) {
+    op->process(0, batches[b], none);
+    records += static_cast<std::int64_t>(batches[b].size());
+    if (++b < batches.size()) continue;
+    b = 0;
+    out.clear();
+    op->on_timer(SimTime::epoch(), out);
+    benchmark::DoNotOptimize(out.size());
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_SlidingWindowAggregate);
+
+void BM_WindowJoin(benchmark::State& state) {
+  // Two keyed streams joined over a 1 s window, built through
+  // make_window_join: 512-record batches 100 ms apart on each side, keys
+  // uniform over 4096, the expiry timer every 500 ms (window / 2). About
+  // ten batches per side stay buffered, so a probe finds about 1.25
+  // matches. After 64 batch pairs the state expires wholesale and the
+  // batches' event times start over.
+  constexpr std::size_t kBatch = 512;
+  constexpr int kPairs = 64;
+  const SimDuration step = SimDuration::millis(100);
+  const auto op = stream::make_window_join("join", SimDuration::seconds(1),
+                                           [](double l, double r) { return 0.5 * l + r; });
+  std::vector<stream::RecordBatch> sides[2];
+  Rng rng(5);
+  for (int b = 0; b < kPairs; ++b) {
+    for (auto& side : sides) {
+      stream::RecordBatch in;
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        stream::Record r;
+        r.event_time = SimTime::epoch() + step * b;
+        r.key = static_cast<std::uint64_t>(rng.uniform_int(0, 4095));
+        r.value = rng.uniform(0.0, 1.0);
+        r.wire_size = Bytes::of(64);
+        in.add(r);
+      }
+      side.push_back(std::move(in));
+    }
+  }
+  stream::RecordBatch out;
+  int b = 0;
+  for (auto _ : state) {
+    out.clear();
+    op->process(0, sides[0][static_cast<std::size_t>(b)], out);
+    op->process(1, sides[1][static_cast<std::size_t>(b)], out);
+    benchmark::DoNotOptimize(out.size());
+    const SimTime now = SimTime::epoch() + step * (b + 1);
+    if (++b == kPairs) {
+      b = 0;
+      op->on_timer(now + SimDuration::seconds(1), out);
+    } else if (b % 5 == 0) {
+      op->on_timer(now, out);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * kBatch));
+}
+BENCHMARK(BM_WindowJoin);
 
 void BM_KeyedAggregateAoS(benchmark::State& state) {
   // Array-of-structs reference for BM_KeyedAggregate: the identical keyed

@@ -8,11 +8,11 @@
 // contiguous memory and a window flush iterates dense storage.
 //
 // Deletion is tombstone-free: erasing backward-shifts the remainder of the
-// probe cluster, so long-running state that churns keys (join expiry,
-// sliding-window idle-key eviction) never degrades into tombstone scans and
-// rehashes only for growth. Iteration order is the slot order — arbitrary
-// but deterministic for a fixed insert/erase sequence, which is all the
-// simulator's reproducibility contract needs.
+// probe cluster, so long-running state that churns keys (join expiry)
+// never degrades into tombstone scans and rehashes only for growth.
+// Iteration order is the slot order — arbitrary but deterministic for a
+// fixed insert/erase sequence, which is all the simulator's
+// reproducibility contract needs.
 #pragma once
 
 #include <cstddef>

@@ -15,28 +15,6 @@ thread_local std::unique_ptr<obs::MetricsRegistry> g_task_metrics;
 thread_local std::uint64_t g_task_records = 0;
 thread_local int g_task_shards = 0;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", v);
@@ -102,19 +80,23 @@ double ScenarioRunner::total_wall_ms() const {
 std::string ScenarioRunner::json(const std::string& bench, bool smoke) const {
   std::string out;
   out += "{\n";
-  out += "  \"bench\": \"" + json_escape(bench) + "\",\n";
+  out += "  \"bench\": ";
+  obs::append_json_string(out, bench);
+  out += ",\n";
   out += "  \"threads\": " + std::to_string(threads_) + ",\n";
   out += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
   out += "  \"total_wall_ms\": " + num(total_wall_ms()) + ",\n";
   out += "  \"sweeps\": [\n";
   for (std::size_t i = 0; i < sweeps_.size(); ++i) {
     const SweepTiming& s = sweeps_[i];
-    out += "    {\"name\": \"" + json_escape(s.name) + "\", \"wall_ms\": " +
-           num(s.wall_ms) + ", \"tasks\": [\n";
+    out += "    {\"name\": ";
+    obs::append_json_string(out, s.name);
+    out += ", \"wall_ms\": " + num(s.wall_ms) + ", \"tasks\": [\n";
     for (std::size_t j = 0; j < s.tasks.size(); ++j) {
       const TaskTiming& t = s.tasks[j];
-      out += "      {\"index\": " + std::to_string(t.index) + ", \"label\": \"" +
-             json_escape(t.label) + "\", \"wall_ms\": " + num(t.wall_ms);
+      out += "      {\"index\": " + std::to_string(t.index) + ", \"label\": ";
+      obs::append_json_string(out, t.label);
+      out += ", \"wall_ms\": " + num(t.wall_ms);
       out += ", \"shards\": " + std::to_string(t.shards);
       if (t.records > 0) {
         out += ", \"records\": " + std::to_string(t.records);

@@ -113,11 +113,6 @@ TransferEstimate TradeoffSolver::resolve(const TradeoffInputs& in,
   return *best;
 }
 
-ResolveCache::ResolveCache(std::size_t capacity) : capacity_(capacity) {
-  SAGE_CHECK(capacity_ >= 1);
-  entries_.reserve(capacity_);
-}
-
 const TransferEstimate& ResolveCache::resolve(const TradeoffSolver& solver,
                                               const TradeoffInputs& in,
                                               const Tradeoff& tradeoff,
@@ -125,28 +120,7 @@ const TransferEstimate& ResolveCache::resolve(const TradeoffSolver& solver,
   const Key key{epoch,          in.src,           in.dst,          in.size, in.vm_size,
                 in.max_nodes,   tradeoff.budget,  tradeoff.deadline,
                 tradeoff.lambda};
-  for (Entry& e : entries_) {
-    if (e.key == key) {
-      ++hits_;
-      return e.estimate;
-    }
-  }
-  ++misses_;
-  TransferEstimate fresh = solver.resolve(in, tradeoff);
-  if (entries_.size() < capacity_) {
-    entries_.push_back(Entry{key, fresh});
-    return entries_.back().estimate;
-  }
-  Entry& victim = entries_[next_victim_];
-  next_victim_ = (next_victim_ + 1) % capacity_;
-  victim.key = key;
-  victim.estimate = fresh;
-  return victim.estimate;
-}
-
-void ResolveCache::clear() {
-  entries_.clear();
-  next_victim_ = 0;
+  return memo_.get(key, [&] { return solver.resolve(in, tradeoff); });
 }
 
 }  // namespace sage::model

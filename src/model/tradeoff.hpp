@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/memo_ring.hpp"
 #include "model/cost_model.hpp"
 
 namespace sage::model {
@@ -90,20 +91,20 @@ class TradeoffSolver {
 /// key — callers must derive `in.link` from the same epoch'd matrix they
 /// pass the epoch of. A hit skips rebuilding the whole cost/time frontier
 /// (max_nodes CostModel evaluations) and returns the exact estimate a
-/// fresh call would produce. Fixed-capacity ring, like sched::PlanCache.
+/// fresh call would produce. A `MemoRing`, like sched::PlanCache.
 class ResolveCache {
  public:
-  explicit ResolveCache(std::size_t capacity = 64);
+  explicit ResolveCache(std::size_t capacity = 64) : memo_(capacity) {}
 
   /// Memoized solver.resolve(in, tradeoff) valid for monitoring epoch
   /// `epoch`. The returned reference stays valid until eviction.
   const TransferEstimate& resolve(const TradeoffSolver& solver, const TradeoffInputs& in,
                                   const Tradeoff& tradeoff, std::uint64_t epoch);
 
-  void clear();
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  void clear() { memo_.clear(); }
+  [[nodiscard]] std::uint64_t hits() const { return memo_.hits(); }
+  [[nodiscard]] std::uint64_t misses() const { return memo_.misses(); }
+  [[nodiscard]] std::size_t size() const { return memo_.size(); }
 
  private:
   struct Key {
@@ -119,16 +120,8 @@ class ResolveCache {
 
     [[nodiscard]] bool operator==(const Key&) const = default;
   };
-  struct Entry {
-    Key key;
-    TransferEstimate estimate;
-  };
 
-  std::size_t capacity_;
-  std::vector<Entry> entries_;
-  std::size_t next_victim_ = 0;  // ring replacement once full
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  MemoRing<Key, TransferEstimate> memo_;
 };
 
 }  // namespace sage::model

@@ -21,6 +21,24 @@ std::vector<Lane> direct_lane(cloud::VmId src, cloud::VmId dst) {
   return {Lane{{src, dst}}};
 }
 
+std::vector<Bytes> chunk_sizes(Bytes size, Bytes chunk_size) {
+  SAGE_CHECK(chunk_size > Bytes::zero());
+  std::vector<Bytes> sizes;
+  for (Bytes lo = Bytes::zero(); lo < size; lo += chunk_size) {
+    sizes.push_back(std::min(chunk_size, size - lo));
+  }
+  return sizes;
+}
+
+cloud::FlowOptions hop_flow_options(const cloud::CloudProvider& provider, cloud::VmId sender,
+                                    const TransferConfig& config) {
+  cloud::FlowOptions options;
+  const ByteRate nic = cloud::vm_spec(provider.vm(sender).size).nic;
+  options.demand_cap =
+      nic * (config.intrusiveness / static_cast<double>(config.streams_per_hop));
+  return options;
+}
+
 GeoTransfer::GeoTransfer(cloud::CloudProvider& provider, Bytes size, std::vector<Lane> lanes,
                          TransferConfig config, CompletionFn on_done)
     : provider_(provider),
@@ -29,26 +47,20 @@ GeoTransfer::GeoTransfer(cloud::CloudProvider& provider, Bytes size, std::vector
       config_(config),
       on_done_(std::move(on_done)) {
   SAGE_CHECK(size > Bytes::zero());
-  SAGE_CHECK(config_.chunk_size > Bytes::zero());
   SAGE_CHECK(config_.streams_per_hop > 0);
   SAGE_CHECK(config_.intrusiveness > 0.0 && config_.intrusiveness <= 1.0);
   SAGE_CHECK(config_.max_attempts > 0);
   SAGE_CHECK(on_done_ != nullptr);
   SAGE_CHECK_MSG(!lanes.empty(), "a transfer needs at least one lane");
 
-  // Fragmentation: equal chunks, last one carries the remainder.
-  const std::int64_t chunk = config_.chunk_size.count();
-  const std::int64_t n = (size.count() + chunk - 1) / chunk;
-  chunks_.resize(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t lo = i * chunk;
-    const std::int64_t hi = std::min(lo + chunk, size.count());
-    chunks_[static_cast<std::size_t>(i)].size = Bytes::of(hi - lo);
-    chunks_[static_cast<std::size_t>(i)].hash =
-        hash_combine(hash_u64(static_cast<std::uint64_t>(i)),
-                     hash_u64(static_cast<std::uint64_t>(hi - lo)));
+  const std::vector<Bytes> sizes = chunk_sizes(size, config_.chunk_size);
+  chunks_.resize(sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    chunks_[i].size = sizes[i];
+    chunks_[i].hash = hash_combine(hash_u64(i),
+                                   hash_u64(static_cast<std::uint64_t>(sizes[i].count())));
   }
-  stats_.chunks_total = static_cast<int>(n);
+  stats_.chunks_total = static_cast<int>(sizes.size());
   bind_obs();
   reset_lanes(std::move(lanes));
 }
@@ -140,14 +152,6 @@ SimDuration GeoTransfer::chunk_timeout() const {
   return std::max(expected, kTimeoutFloor);
 }
 
-cloud::FlowOptions GeoTransfer::hop_flow_options(cloud::VmId sender) const {
-  cloud::FlowOptions options;
-  const ByteRate nic = cloud::vm_spec(provider_.vm(sender).size).nic;
-  options.demand_cap =
-      nic * (config_.intrusiveness / static_cast<double>(config_.streams_per_hop));
-  return options;
-}
-
 void GeoTransfer::pump() {
   if (!running_ || finished_) return;
   const auto alive = alive_;
@@ -220,7 +224,7 @@ void GeoTransfer::send_hop(const std::shared_ptr<LaneState>& lane, int chunk,
   --lane->hops[hop].free_slots;
   const Bytes size = chunks_[static_cast<std::size_t>(chunk)].size;
   const cloud::FlowId fid = provider_.transfer(
-      sender, receiver, size, hop_flow_options(sender),
+      sender, receiver, size, hop_flow_options(provider_, sender, config_),
       [this, alive, lane, chunk, hop](const cloud::FlowResult& r) {
         // Every call below that can reach finish() runs the done callback,
         // which may destroy this transfer (a backend reaping finished

@@ -151,7 +151,6 @@ class GeoTransfer {
   void maybe_finish();
   void finish(bool ok);
   [[nodiscard]] SimDuration chunk_timeout() const;
-  [[nodiscard]] cloud::FlowOptions hop_flow_options(cloud::VmId sender) const;
   void bind_obs();
 
   cloud::CloudProvider& provider_;
@@ -191,5 +190,16 @@ class GeoTransfer {
 
 /// Convenience: single-lane direct transfer src -> dst.
 [[nodiscard]] std::vector<Lane> direct_lane(cloud::VmId src, cloud::VmId dst);
+
+/// Fragmentation: `size` cut into equal `chunk_size` chunks, the last one
+/// carrying the remainder.
+[[nodiscard]] std::vector<Bytes> chunk_sizes(Bytes size, Bytes chunk_size);
+
+/// Options for one chunk flow sent by `sender`: its demand is capped at
+/// NIC × intrusiveness / streams_per_hop, so the sender's parallel streams
+/// together stay within the transfer's share of the VM.
+[[nodiscard]] cloud::FlowOptions hop_flow_options(const cloud::CloudProvider& provider,
+                                                  cloud::VmId sender,
+                                                  const TransferConfig& config);
 
 }  // namespace sage::net

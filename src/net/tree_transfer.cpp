@@ -24,14 +24,7 @@ TreeTransfer::TreeTransfer(cloud::CloudProvider& provider, Bytes size,
                    "parents must precede children");
   }
 
-  const std::int64_t chunk = config_.chunk_size.count();
-  const std::int64_t n = (size.count() + chunk - 1) / chunk;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t lo = i * chunk;
-    const std::int64_t hi = std::min(lo + chunk, size.count());
-    chunk_sizes_.push_back(Bytes::of(hi - lo));
-  }
-
+  chunk_sizes_ = chunk_sizes(size, config_.chunk_size);
   received_.assign(tree_.size(), 0);
   completion_.assign(tree_.size(), SimDuration::zero());
   has_chunk_.assign(tree_.size(), std::vector<bool>(chunk_sizes_.size(), false));
@@ -111,14 +104,10 @@ void TreeTransfer::pump(std::size_t edge_idx) {
     }
     --edge.free_slots;
 
-    cloud::FlowOptions options;
-    const ByteRate nic = cloud::vm_spec(provider_.vm(parent_vm).size).nic;
-    options.demand_cap =
-        nic * (config_.intrusiveness / static_cast<double>(config_.streams_per_hop));
-
     auto alive = alive_;
     const cloud::FlowId fid = provider_.transfer(
-        parent_vm, child_vm, chunk_sizes_[static_cast<std::size_t>(chunk)], options,
+        parent_vm, child_vm, chunk_sizes_[static_cast<std::size_t>(chunk)],
+        hop_flow_options(provider_, parent_vm, config_),
         [this, alive, edge_idx, chunk](const cloud::FlowResult& r) {
           if (!*alive) return;
           std::erase(active_flows_, r.id);

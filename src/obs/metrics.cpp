@@ -22,6 +22,8 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+}  // namespace
+
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
@@ -42,8 +44,6 @@ void append_json_string(std::string& out, std::string_view s) {
   }
   out += '"';
 }
-
-}  // namespace
 
 std::string MetricsRegistry::make_key(std::string_view name, const LabelSet& labels) {
   std::string key(name);

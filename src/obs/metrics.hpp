@@ -143,4 +143,9 @@ class MetricsRegistry {
   std::vector<std::uint32_t> overflow_;  // entries whose key hash collided
 };
 
+/// Append `s` to `out` as a quoted JSON string: quotes, backslashes,
+/// newlines and tabs get their short escapes, other control characters
+/// \u00XX.
+void append_json_string(std::string& out, std::string_view s);
+
 }  // namespace sage::obs

@@ -201,38 +201,13 @@ MultiPathPlan MultiPathPlanner::widest_single_path_plan(
   return out;
 }
 
-PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {
-  SAGE_CHECK(capacity_ >= 1);
-  entries_.reserve(capacity_);
-}
-
 const MultiPathPlan& PlanCache::plan(const MultiPathPlanner& planner,
                                      const monitor::ThroughputMatrix& matrix,
                                      cloud::Region src, cloud::Region dst,
                                      const Inventory& inventory, int node_budget) {
-  const Key key{matrix.epoch, src, dst, inventory, node_budget};
-  for (Entry& e : entries_) {
-    if (e.key == key) {
-      ++hits_;
-      return e.plan;
-    }
-  }
-  ++misses_;
-  MultiPathPlan fresh = planner.plan(matrix, src, dst, inventory, node_budget);
-  if (entries_.size() < capacity_) {
-    entries_.push_back(Entry{key, std::move(fresh)});
-    return entries_.back().plan;
-  }
-  Entry& victim = entries_[next_victim_];
-  next_victim_ = (next_victim_ + 1) % capacity_;
-  victim.key = key;
-  victim.plan = std::move(fresh);
-  return victim.plan;
-}
-
-void PlanCache::clear() {
-  entries_.clear();
-  next_victim_ = 0;
+  return memo_.get(Key{matrix.epoch, src, dst, inventory, node_budget}, [&] {
+    return planner.plan(matrix, src, dst, inventory, node_budget);
+  });
 }
 
 bool MultiPathPlanner::same_plan(const MultiPathPlan& a, const MultiPathPlan& b) {

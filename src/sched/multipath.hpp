@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/memo_ring.hpp"
 #include "obs/obs.hpp"
 #include "sched/paths.hpp"
 
@@ -149,7 +150,7 @@ class MultiPathPlanner {
 /// imply an entry-wise identical matrix, so (epoch, src, dst, inventory,
 /// budget) is a sound memo key and a hit returns the *exact* plan a fresh
 /// call would have produced — cache, don't reassociate. The cache is a
-/// fixed-capacity ring (linear full-key compare, FIFO eviction): a replan
+/// `MemoRing` (linear full-key compare, FIFO eviction): a replan
 /// sweep over hundreds of transfers sharing a handful of (pair, budget)
 /// combinations collapses to one planner run per combination per epoch.
 ///
@@ -158,7 +159,7 @@ class MultiPathPlanner {
 /// hand-built matrices that both carry epoch 0 would alias.
 class PlanCache {
  public:
-  explicit PlanCache(std::size_t capacity = 64);
+  explicit PlanCache(std::size_t capacity = 64) : memo_(capacity) {}
 
   /// Memoized planner.plan(matrix, src, dst, inventory, budget). The
   /// returned reference stays valid until this entry is evicted (at least
@@ -168,10 +169,10 @@ class PlanCache {
                             cloud::Region dst, const Inventory& inventory,
                             int node_budget);
 
-  void clear();
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  void clear() { memo_.clear(); }
+  [[nodiscard]] std::uint64_t hits() const { return memo_.hits(); }
+  [[nodiscard]] std::uint64_t misses() const { return memo_.misses(); }
+  [[nodiscard]] std::size_t size() const { return memo_.size(); }
 
  private:
   struct Key {
@@ -183,16 +184,8 @@ class PlanCache {
 
     [[nodiscard]] bool operator==(const Key&) const = default;
   };
-  struct Entry {
-    Key key;
-    MultiPathPlan plan;
-  };
 
-  std::size_t capacity_;
-  std::vector<Entry> entries_;
-  std::size_t next_victim_ = 0;  // ring replacement once full
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  MemoRing<Key, MultiPathPlan> memo_;
 };
 
 }  // namespace sage::sched

@@ -31,12 +31,22 @@ void StatelessOperator::process(int port, const RecordBatch& in, RecordBatch& ou
 }
 
 WindowAggregateOperator::WindowAggregateOperator(std::string name, SimDuration window,
-                                                 AggregateFn fn, Bytes output_record_size,
-                                                 double cost)
-    : name_(std::move(name)), window_(window), fn_(fn), out_size_(output_record_size),
+                                                 SimDuration slide, AggregateFn fn,
+                                                 Bytes output_record_size, double cost)
+    : name_(std::move(name)), slide_(slide), fn_(fn), out_size_(output_record_size),
       cost_(cost) {
   SAGE_CHECK(window > SimDuration::zero());
+  SAGE_CHECK(slide > SimDuration::zero());
+  SAGE_CHECK_MSG(window.count_micros() % slide.count_micros() == 0,
+                 "slide must divide the window length");
   SAGE_CHECK(cost_ > 0.0);
+  older_.resize(static_cast<std::size_t>(window.count_micros() / slide.count_micros()) - 1);
+}
+
+std::size_t WindowAggregateOperator::active_keys() const {
+  std::size_t n = state_.size();
+  for (const Pane& pane : older_) n += pane.size();
+  return n;
 }
 
 void WindowAggregateOperator::process(int port, const RecordBatch& in, RecordBatch& out) {
@@ -94,8 +104,53 @@ void WindowAggregateOperator::fold(const RecordBatch& in) {
   }
 }
 
+void WindowAggregateOperator::combine_panes() {
+  auto merge = [&](const Pane& pane) {
+    pane.for_each([&](std::uint64_t key, const KeyState& s) {
+      auto [w, inserted] = scratch_.find_or_insert(key);
+      if (inserted) {
+        *w = s;
+        return;
+      }
+      switch (fn_) {
+        case AggregateFn::kSum:
+        case AggregateFn::kMean:
+          w->acc += s.acc;
+          break;
+        case AggregateFn::kMin:
+          w->acc = std::min(w->acc, s.acc);
+          break;
+        case AggregateFn::kMax:
+          w->acc = std::max(w->acc, s.acc);
+          break;
+        case AggregateFn::kCount:
+          break;
+      }
+      w->count += s.count;
+      if (s.oldest_event < w->oldest_event) w->oldest_event = s.oldest_event;
+    });
+  };
+  merge(state_);
+  for (const Pane& pane : older_) merge(pane);
+  std::swap(state_, scratch_);
+}
+
 void WindowAggregateOperator::on_timer(SimTime now, RecordBatch& out) {
   (void)now;
+  if (older_.empty()) {
+    flush(out);
+    return;
+  }
+  combine_panes();
+  flush(out);
+  // Slide: the current pane (left in scratch_) becomes the newest older
+  // pane, and the oldest one, emptied, is the next scratch map.
+  std::swap(scratch_, older_.back());
+  std::rotate(older_.begin(), older_.end() - 1, older_.end());
+  scratch_.clear();
+}
+
+void WindowAggregateOperator::flush(RecordBatch& out) {
   // Columnar scatter: presize the four columns once and write through raw
   // pointers — the dense window flush is the second-hottest keyed path
   // after the per-record update loop. Emission order, values, and the
@@ -204,103 +259,6 @@ std::size_t WindowJoinOperator::buffered() const {
   return n;
 }
 
-SlidingWindowAggregateOperator::SlidingWindowAggregateOperator(
-    std::string name, SimDuration window, SimDuration slide, AggregateFn fn,
-    Bytes output_record_size, double cost)
-    : name_(std::move(name)), window_(window), slide_(slide), fn_(fn),
-      out_size_(output_record_size), cost_(cost) {
-  SAGE_CHECK(window > SimDuration::zero());
-  SAGE_CHECK(slide > SimDuration::zero());
-  SAGE_CHECK_MSG(window.count_micros() % slide.count_micros() == 0,
-                 "slide must divide the window length");
-  SAGE_CHECK(cost_ > 0.0);
-  panes_per_window_ = static_cast<std::size_t>(window.count_micros() / slide.count_micros());
-}
-
-void SlidingWindowAggregateOperator::process(int port, const RecordBatch& in,
-                                             RecordBatch& out) {
-  SAGE_CHECK_MSG(port == 0, "sliding window aggregate has a single input port");
-  (void)out;
-  const std::size_t n = in.size();
-  const std::uint64_t* keys = in.keys().data();
-  const double* values = in.values().data();
-  const SimTime* times = in.event_times().data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = values[i];
-    auto [ring, inserted] = panes_.find_or_insert(keys[i]);
-    if (ring->empty()) ring->emplace_front();
-    Pane& pane = ring->front();
-    if (pane.count == 0) {
-      pane.min = pane.max = v;
-      pane.oldest_event = times[i];
-    } else {
-      pane.min = std::min(pane.min, v);
-      pane.max = std::max(pane.max, v);
-      if (times[i] < pane.oldest_event) pane.oldest_event = times[i];
-    }
-    pane.sum += v;
-    ++pane.count;
-  }
-}
-
-void SlidingWindowAggregateOperator::on_timer(SimTime now, RecordBatch& out) {
-  (void)now;
-  evict_scratch_.clear();
-  panes_.for_each([&](std::uint64_t key, std::deque<Pane>& ring) {
-    // Combine the live panes into the window aggregate.
-    Pane combined;
-    bool first = true;
-    for (const Pane& p : ring) {
-      if (p.count == 0) continue;
-      if (first) {
-        combined = p;
-        first = false;
-      } else {
-        combined.sum += p.sum;
-        combined.count += p.count;
-        combined.min = std::min(combined.min, p.min);
-        combined.max = std::max(combined.max, p.max);
-        if (p.oldest_event < combined.oldest_event) combined.oldest_event = p.oldest_event;
-      }
-    }
-    if (combined.count > 0) {
-      Record r;
-      r.key = key;
-      r.event_time = combined.oldest_event;
-      r.wire_size = out_size_;
-      switch (fn_) {
-        case AggregateFn::kSum:
-          r.value = combined.sum;
-          break;
-        case AggregateFn::kCount:
-          r.value = static_cast<double>(combined.count);
-          break;
-        case AggregateFn::kMean:
-          r.value = combined.sum / static_cast<double>(combined.count);
-          break;
-        case AggregateFn::kMin:
-          r.value = combined.min;
-          break;
-        case AggregateFn::kMax:
-          r.value = combined.max;
-          break;
-      }
-      out.add(r);
-    }
-    // Slide: open the next pane, expire the oldest, drop idle keys.
-    ring.emplace_front();
-    while (ring.size() > panes_per_window_) ring.pop_back();
-    if (combined.count == 0) evict_scratch_.push_back(key);
-  });
-  for (std::uint64_t key : evict_scratch_) panes_.erase(key);
-}
-
-std::size_t SlidingWindowAggregateOperator::pane_count() const {
-  std::size_t n = 0;
-  panes_.for_each([&](std::uint64_t, const std::deque<Pane>& ring) { n += ring.size(); });
-  return n;
-}
-
 TopKOperator::TopKOperator(std::string name, SimDuration window, int k, bool sum_values,
                            Bytes output_record_size, double cost)
     : name_(std::move(name)), window_(window), k_(k), sum_values_(sum_values),
@@ -357,7 +315,7 @@ void TopKOperator::on_timer(SimTime now, RecordBatch& out) {
 std::shared_ptr<Operator> make_window_aggregate(std::string name, SimDuration window,
                                                 AggregateFn fn, Bytes output_record_size,
                                                 double cost) {
-  return std::make_shared<WindowAggregateOperator>(std::move(name), window, fn,
+  return std::make_shared<WindowAggregateOperator>(std::move(name), window, window, fn,
                                                    output_record_size, cost);
 }
 
@@ -373,8 +331,8 @@ std::shared_ptr<Operator> make_sliding_window_aggregate(std::string name,
                                                         SimDuration slide, AggregateFn fn,
                                                         Bytes output_record_size,
                                                         double cost) {
-  return std::make_shared<SlidingWindowAggregateOperator>(
-      std::move(name), window, slide, fn, output_record_size, cost);
+  return std::make_shared<WindowAggregateOperator>(std::move(name), window, slide, fn,
+                                                   output_record_size, cost);
 }
 
 std::shared_ptr<Operator> make_top_k(std::string name, SimDuration window, int k,

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -354,31 +353,42 @@ class StatelessOperator final : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// Keyed tumbling-window aggregation.
+// Keyed window aggregation: tumbling and sliding.
 // ---------------------------------------------------------------------------
 
 enum class AggregateFn : std::uint8_t { kSum, kCount, kMean, kMin, kMax };
 
-/// Per-key aggregation over processing-time tumbling windows of `window`
-/// length. Each window close emits one record per active key whose value is
-/// the aggregate and whose event_time is the *oldest* contributing event
-/// time (so downstream latency accounting reflects the slowest member).
-/// Each key folds only what its function emits; a count never reads values.
+/// Per-key aggregation over processing-time windows of `window` length,
+/// emitted every `slide` (slide must divide window; `slide == window` is a
+/// tumbling window). Every emission holds one record per key active in the
+/// window, whose value is the aggregate and whose event_time is the
+/// *oldest* contributing event time (so downstream latency accounting
+/// reflects the slowest member). Each key folds only what its function
+/// emits; a count never reads values.
+///
+/// Records fold into the current slide-long pane, `state_`. A sliding
+/// window keeps its window/slide − 1 older panes beside it, newest first:
+/// an emission combines every pane into one map, flushes that, and the
+/// current pane becomes the newest older one. So memory is O(keys × panes),
+/// no record is buffered individually, and a tumbling window keeps no
+/// other state.
 class WindowAggregateOperator final : public Operator {
  public:
-  WindowAggregateOperator(std::string name, SimDuration window, AggregateFn fn,
-                          Bytes output_record_size = Bytes::of(64), double cost = 2.0);
+  WindowAggregateOperator(std::string name, SimDuration window, SimDuration slide,
+                          AggregateFn fn, Bytes output_record_size = Bytes::of(64),
+                          double cost = 2.0);
 
   void process(int port, const RecordBatch& in, RecordBatch& out) override;
   void on_timer(SimTime now, RecordBatch& out) override;
-  [[nodiscard]] SimDuration timer_interval() const override { return window_; }
+  [[nodiscard]] SimDuration timer_interval() const override { return slide_; }
   [[nodiscard]] double cost_per_record() const override { return cost_; }
   [[nodiscard]] bool uses_input_values(bool out_values_live) const override {
     return fn_ != AggregateFn::kCount && out_values_live;
   }
   [[nodiscard]] std::string_view name() const override { return name_; }
 
-  [[nodiscard]] std::size_t active_keys() const { return state_.size(); }
+  /// Keys held, summed over the panes (a key in two panes counts twice).
+  [[nodiscard]] std::size_t active_keys() const;
 
  private:
   /// `acc` is the sum (kSum, kMean; starts at 0.0, so the first value
@@ -388,16 +398,24 @@ class WindowAggregateOperator final : public Operator {
     std::uint64_t count = 0;
     SimTime oldest_event;
   };
+  using Pane = FlatMap<KeyState>;
 
   template <AggregateFn F>
   void fold(const RecordBatch& in);
+  /// Combine the current and older panes, newest first, into `scratch_` and
+  /// swap it into `state_`; the current pane is left in `scratch_`.
+  void combine_panes();
+  /// Emit one record per key of `state_`, then clear it.
+  void flush(RecordBatch& out);
 
   std::string name_;
-  SimDuration window_;
+  SimDuration slide_;
   AggregateFn fn_;
   Bytes out_size_;
   double cost_;
-  FlatMap<KeyState> state_;
+  Pane state_;               // the current pane
+  std::vector<Pane> older_;  // window/slide − 1 older panes, newest first
+  Pane scratch_;             // empty between emissions
 };
 
 // ---------------------------------------------------------------------------
@@ -436,54 +454,6 @@ class WindowJoinOperator final : public Operator {
   double cost_;
   FlatMap<std::vector<Record>> left_;
   FlatMap<std::vector<Record>> right_;
-  std::vector<std::uint64_t> evict_scratch_;
-};
-
-// ---------------------------------------------------------------------------
-// Keyed sliding-window aggregation.
-// ---------------------------------------------------------------------------
-
-/// Per-key aggregation over sliding processing-time windows: window length
-/// `window`, emission every `slide` (slide must divide window). Internally
-/// pane-based: records land in slide-sized panes; each emission combines
-/// the panes covering the window, so memory is O(keys × window/slide) and
-/// no record is buffered individually.
-class SlidingWindowAggregateOperator final : public Operator {
- public:
-  SlidingWindowAggregateOperator(std::string name, SimDuration window, SimDuration slide,
-                                 AggregateFn fn,
-                                 Bytes output_record_size = Bytes::of(64),
-                                 double cost = 2.5);
-
-  void process(int port, const RecordBatch& in, RecordBatch& out) override;
-  void on_timer(SimTime now, RecordBatch& out) override;
-  [[nodiscard]] SimDuration timer_interval() const override { return slide_; }
-  [[nodiscard]] double cost_per_record() const override { return cost_; }
-  [[nodiscard]] bool uses_input_values(bool out_values_live) const override {
-    return fn_ != AggregateFn::kCount && out_values_live;
-  }
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
-  [[nodiscard]] std::size_t pane_count() const;
-
- private:
-  struct Pane {
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::uint64_t count = 0;
-    SimTime oldest_event;
-  };
-
-  std::string name_;
-  SimDuration window_;
-  SimDuration slide_;
-  AggregateFn fn_;
-  Bytes out_size_;
-  double cost_;
-  std::size_t panes_per_window_;
-  /// Per key: ring of the most recent panes (front = current).
-  FlatMap<std::deque<Pane>> panes_;
   std::vector<std::uint64_t> evict_scratch_;
 };
 

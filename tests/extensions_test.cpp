@@ -2,7 +2,14 @@
 // top-k, monitoring history and introspection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "core/introspection.hpp"
 #include "core/sage.hpp"
 #include "sched/broadcast.hpp"
@@ -157,9 +164,8 @@ stream::Record rec(double value, std::uint64_t key, SimTime t = SimTime::epoch()
 }
 
 TEST(SlidingWindowTest, WindowCoversMultipleSlides) {
-  stream::SlidingWindowAggregateOperator op("s", SimDuration::seconds(30),
-                                            SimDuration::seconds(10),
-                                            stream::AggregateFn::kSum);
+  stream::WindowAggregateOperator op("s", SimDuration::seconds(30),
+                                     SimDuration::seconds(10), stream::AggregateFn::kSum);
   stream::RecordBatch none;
   // Slide 1: value 1; slide 2: value 2; slide 3: value 4.
   stream::RecordBatch b1;
@@ -194,9 +200,8 @@ TEST(SlidingWindowTest, WindowCoversMultipleSlides) {
 }
 
 TEST(SlidingWindowTest, IdleKeysAreDropped) {
-  stream::SlidingWindowAggregateOperator op("s", SimDuration::seconds(20),
-                                            SimDuration::seconds(10),
-                                            stream::AggregateFn::kCount);
+  stream::WindowAggregateOperator op("s", SimDuration::seconds(20),
+                                     SimDuration::seconds(10), stream::AggregateFn::kCount);
   stream::RecordBatch none;
   stream::RecordBatch b;
   b.add(rec(1.0, 1));
@@ -209,13 +214,114 @@ TEST(SlidingWindowTest, IdleKeysAreDropped) {
   op.on_timer(SimTime::epoch() + SimDuration::seconds(20), o2);
   stream::RecordBatch o3;
   op.on_timer(SimTime::epoch() + SimDuration::seconds(30), o3);
-  EXPECT_EQ(op.pane_count(), 0u);
+  EXPECT_EQ(op.active_keys(), 0u);
+}
+
+TEST(SlidingWindowTest, EveryEmissionMatchesRefoldOracle) {
+  // The oracle keeps every raw record. At each emission it re-folds, per
+  // key, the records of the last `panes` slides: each slide from 0.0 in
+  // arrival order, then the slides newest first. Keys drift upward and
+  // every seventh slide is empty, so keys go idle and must drop out.
+  struct Fold {
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    std::uint64_t count = 0;
+    SimTime oldest;
+  };
+  using stream::AggregateFn;
+  constexpr int kSlides = 40;
+  const SimDuration slide = SimDuration::seconds(5);
+  for (const int panes : {1, 2, 3, 6}) {
+    for (const AggregateFn fn : {AggregateFn::kSum, AggregateFn::kCount, AggregateFn::kMean,
+                                 AggregateFn::kMin, AggregateFn::kMax}) {
+      SCOPED_TRACE("panes " + std::to_string(panes) + ", fn " +
+                   std::to_string(static_cast<int>(fn)));
+      stream::WindowAggregateOperator op("s", slide * panes, slide, fn);
+      Rng rng(static_cast<std::uint64_t>(100 * panes) + static_cast<std::uint64_t>(fn));
+      std::vector<std::vector<stream::Record>> slides;
+      stream::RecordBatch none;
+      for (int s = 0; s < kSlides; ++s) {
+        std::vector<stream::Record>& recs = slides.emplace_back();
+        const std::int64_t n = s % 7 == 6 ? 0 : rng.uniform_int(1, 120);
+        for (std::int64_t i = 0; i < n; ++i) {
+          const auto key = static_cast<std::uint64_t>(4 * (s / 5) + rng.uniform_int(0, 15));
+          const SimTime t = SimTime::from_micros(rng.uniform_int(0, 1'000'000'000));
+          recs.push_back(rec(rng.uniform(-5.0, 5.0), key, t));
+        }
+        for (std::size_t i = 0; i < recs.size();) {
+          stream::RecordBatch batch;
+          const auto len = static_cast<std::size_t>(rng.uniform_int(1, 40));
+          for (; i < recs.size() && batch.size() < len; ++i) batch.add(recs[i]);
+          op.process(0, batch, none);
+        }
+
+        std::map<std::uint64_t, Fold> window;
+        for (int p = s; p >= 0 && p > s - panes; --p) {
+          std::map<std::uint64_t, Fold> pane;
+          for (const stream::Record& r : slides[static_cast<std::size_t>(p)]) {
+            auto [it, fresh] = pane.try_emplace(r.key);
+            Fold& f = it->second;
+            if (fresh) {
+              f.min = f.max = r.value;
+              f.oldest = r.event_time;
+            } else {
+              f.min = std::min(f.min, r.value);
+              f.max = std::max(f.max, r.value);
+              f.oldest = std::min(f.oldest, r.event_time);
+            }
+            f.sum += r.value;
+            ++f.count;
+          }
+          for (const auto& [key, f] : pane) {
+            auto [it, fresh] = window.try_emplace(key, f);
+            if (fresh) continue;
+            Fold& w = it->second;
+            w.sum += f.sum;
+            w.min = std::min(w.min, f.min);
+            w.max = std::max(w.max, f.max);
+            w.count += f.count;
+            w.oldest = std::min(w.oldest, f.oldest);
+          }
+        }
+
+        stream::RecordBatch out;
+        op.on_timer(SimTime::epoch() + slide * (s + 1), out);
+        ASSERT_EQ(out.size(), window.size()) << "emission " << s;
+        EXPECT_EQ(out.wire_size(), Bytes::of(64 * static_cast<std::int64_t>(out.size())));
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          const stream::Record r = out.row(i);
+          const auto it = window.find(r.key);
+          ASSERT_NE(it, window.end()) << "emission " << s << " key " << r.key;
+          const Fold& w = it->second;
+          const double want = fn == AggregateFn::kSum     ? w.sum
+                              : fn == AggregateFn::kCount ? static_cast<double>(w.count)
+                              : fn == AggregateFn::kMean  ? w.sum / static_cast<double>(w.count)
+                              : fn == AggregateFn::kMin   ? w.min
+                                                          : w.max;
+          EXPECT_EQ(r.value, want) << "emission " << s << " key " << r.key;
+          EXPECT_EQ(r.event_time, w.oldest) << "emission " << s << " key " << r.key;
+          EXPECT_EQ(r.wire_size, Bytes::of(64));
+          window.erase(it);  // a key emitted twice fails the find above
+        }
+
+        // Left behind: the keys of the panes - 1 newest slides, pane by pane.
+        std::size_t held = 0;
+        for (int p = s; p >= 0 && p > s - panes + 1; --p) {
+          std::set<std::uint64_t> keys;
+          for (const stream::Record& r : slides[static_cast<std::size_t>(p)]) keys.insert(r.key);
+          held += keys.size();
+        }
+        EXPECT_EQ(op.active_keys(), held) << "after emission " << s;
+      }
+    }
+  }
 }
 
 TEST(SlidingWindowTest, RejectsNonDividingSlide) {
-  EXPECT_THROW(stream::SlidingWindowAggregateOperator(
-                   "bad", SimDuration::seconds(30), SimDuration::seconds(7),
-                   stream::AggregateFn::kSum),
+  EXPECT_THROW(stream::WindowAggregateOperator("bad", SimDuration::seconds(30),
+                                               SimDuration::seconds(7),
+                                               stream::AggregateFn::kSum),
                CheckFailure);
 }
 

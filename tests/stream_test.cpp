@@ -81,7 +81,8 @@ TEST(FilterStageTest, DropsNonMatching) {
 }
 
 TEST(WindowAggregateTest, EmitsPerKeyAggregatesOnTimer) {
-  WindowAggregateOperator op("sum", SimDuration::seconds(10), AggregateFn::kSum);
+  WindowAggregateOperator op("sum", SimDuration::seconds(10), SimDuration::seconds(10),
+                             AggregateFn::kSum);
   RecordBatch in;
   in.add(make_record(1.0, /*key=*/1));
   in.add(make_record(2.0, /*key=*/1));
@@ -109,7 +110,7 @@ TEST(WindowAggregateTest, EmitsPerKeyAggregatesOnTimer) {
 TEST(WindowAggregateTest, AllAggregateFunctions) {
   const std::vector<double> values = {2.0, 8.0, 4.0};
   auto run = [&](AggregateFn fn) {
-    WindowAggregateOperator op("agg", SimDuration::seconds(1), fn);
+    WindowAggregateOperator op("agg", SimDuration::seconds(1), SimDuration::seconds(1), fn);
     RecordBatch in;
     for (double v : values) in.add(make_record(v, 7));
     RecordBatch none;
@@ -130,7 +131,7 @@ TEST(WindowAggregateTest, SumsStartFromPositiveZero) {
   // A sum folds 0.0 + v, so a lone -0.0 emits +0.0; min and max return
   // the value itself.
   auto run = [](AggregateFn fn) {
-    WindowAggregateOperator op("agg", SimDuration::seconds(1), fn);
+    WindowAggregateOperator op("agg", SimDuration::seconds(1), SimDuration::seconds(1), fn);
     RecordBatch in;
     in.add(make_record(-0.0, 7));
     RecordBatch none;
@@ -147,7 +148,8 @@ TEST(WindowAggregateTest, SumsStartFromPositiveZero) {
 }
 
 TEST(WindowAggregateTest, OutputCarriesOldestEventTime) {
-  WindowAggregateOperator op("sum", SimDuration::seconds(10), AggregateFn::kSum);
+  WindowAggregateOperator op("sum", SimDuration::seconds(10), SimDuration::seconds(10),
+                             AggregateFn::kSum);
   RecordBatch in;
   in.add(make_record(1.0, 1, SimTime::epoch() + SimDuration::seconds(5)));
   in.add(make_record(1.0, 1, SimTime::epoch() + SimDuration::seconds(2)));
