@@ -342,10 +342,8 @@ SoakResult run_soak(const SoakCell& c, SimDuration horizon) {
       sim::ShardedSimEngine::Options{plan.shards, plan.lookahead, true, 0});
   const auto lane_of = [&](Region r) -> std::size_t { return plan.shard(r); };
 
-  obs::ObsConfig cfg;
-  cfg.tracing = false;
   for (std::size_t l = 0; l < engine.lane_count(); ++l) {
-    engine.shard(l).enable_obs(cfg);
+    engine.shard(l).enable_obs(obs::ObsConfig{});
   }
 
   std::vector<std::unique_ptr<cloud::Fabric>> fabrics;

@@ -122,14 +122,6 @@ FaultPlan& FaultPlan::region_outage(SimTime at, cloud::Region r, SimDuration dur
   return add(std::move(e));
 }
 
-FaultPlan& FaultPlan::region_recover(SimTime at, cloud::Region r) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kRegionRecover;
-  e.a = r;
-  return add(std::move(e));
-}
-
 FaultPlan& FaultPlan::latency_spike(SimTime at, cloud::Region a, cloud::Region b,
                                     SimDuration extra, SimDuration duration) {
   FaultEvent e;

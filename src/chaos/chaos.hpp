@@ -96,7 +96,6 @@ struct FaultPlan {
   FaultPlan& link_up(SimTime at, cloud::Region a, cloud::Region b);
   FaultPlan& region_outage(SimTime at, cloud::Region r,
                            SimDuration duration = SimDuration::zero());
-  FaultPlan& region_recover(SimTime at, cloud::Region r);
   FaultPlan& latency_spike(SimTime at, cloud::Region a, cloud::Region b,
                            SimDuration extra,
                            SimDuration duration = SimDuration::zero());

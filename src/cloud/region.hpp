@@ -33,8 +33,6 @@ inline constexpr std::array<Region, kRegionCount> kAllRegions = {
     Region::kSouthUS, Region::kEastUS, Region::kWestUS,
 };
 
-enum class Continent : std::uint8_t { kEurope, kNorthAmerica };
-
 [[nodiscard]] constexpr std::size_t region_index(Region r) {
   return static_cast<std::size_t>(r);
 }
@@ -42,19 +40,6 @@ enum class Continent : std::uint8_t { kEurope, kNorthAmerica };
 /// The i-th region of a deployment (synthetic past the named six).
 [[nodiscard]] constexpr Region make_region(std::size_t i) {
   return static_cast<Region>(static_cast<std::uint16_t>(i));
-}
-
-/// Continent of the six *named* regions (used by the calibrated default
-/// topology's variability model). Synthetic regions carry their continent
-/// in the Topology itself, not here.
-[[nodiscard]] constexpr Continent continent_of(Region r) {
-  switch (r) {
-    case Region::kNorthEU:
-    case Region::kWestEU:
-      return Continent::kEurope;
-    default:
-      return Continent::kNorthAmerica;
-  }
 }
 
 namespace detail {

@@ -27,8 +27,8 @@ struct IntrospectionReport {
   /// replans, delivery stats.
   std::string decision_audit;
   /// Event-loop accounting (virtual clock, scheduled/fired/cancelled/live
-  /// event counts) — identical fields whether the deployment runs on the
-  /// plain engine or aggregated over a sharded engine's lanes.
+  /// event counts) of the engine's own SimEngine: one lane's counters when
+  /// the engine is a lane of a sharded deployment.
   std::string runtime;
 
   /// All sections concatenated, ready to print.

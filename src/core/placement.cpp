@@ -2,40 +2,11 @@
 
 #include <vector>
 
-#include "common/check.hpp"
-
 namespace sage::core {
-namespace {
-
-/// Vertex ids in topological order (the graph is validated acyclic).
-std::vector<stream::VertexId> topo_order(const stream::JobGraph& graph) {
-  const auto& vertices = graph.vertices();
-  const auto& edges = graph.edges();
-  std::vector<int> indegree(vertices.size(), 0);
-  for (const auto& e : edges) ++indegree[e.to];
-  std::vector<stream::VertexId> queue;
-  for (const auto& v : vertices) {
-    if (indegree[v.id] == 0) queue.push_back(v.id);
-  }
-  std::vector<stream::VertexId> order;
-  order.reserve(vertices.size());
-  while (!queue.empty()) {
-    const stream::VertexId v = queue.back();
-    queue.pop_back();
-    order.push_back(v);
-    for (const auto& e : edges) {
-      if (e.from == v && --indegree[e.to] == 0) queue.push_back(e.to);
-    }
-  }
-  SAGE_CHECK_MSG(order.size() == vertices.size(), "graph must be acyclic");
-  return order;
-}
-
-}  // namespace
 
 void auto_place(stream::JobGraph& graph, cloud::Region aggregation_site) {
   graph.validate();
-  for (const stream::VertexId v : topo_order(graph)) {
+  for (const stream::VertexId v : graph.topological_order()) {
     const stream::Vertex& vx = graph.vertex(v);
     if (vx.kind != stream::VertexKind::kOperator) continue;
 
@@ -60,7 +31,7 @@ double estimate_wan_bytes_per_sec(const stream::JobGraph& graph, double reductio
   // Propagate each source's byte rate through the DAG; operators are
   // assumed to shrink their input by `reduction_factor` (windows/filters
   // reduce, which is why pushing them upstream of the WAN pays).
-  const auto order = topo_order(graph);
+  const auto order = graph.topological_order();
   std::vector<double> rate(graph.vertices().size(), 0.0);
   double wan = 0.0;
   for (const stream::VertexId v : order) {

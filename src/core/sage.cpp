@@ -151,12 +151,6 @@ void SageEngine::send_with(const model::Tradeoff& tradeoff, cloud::Region src,
         resolve_cache_.resolve(solver_, inputs, tradeoff, matrix.epoch);
     record.estimate = estimate;
     plan = plan_for(matrix, src, dst, estimate.nodes);
-    if (obs::Observability* o = engine_.obs(); o != nullptr && o->tracer() != nullptr) {
-      obs::TraceSink& t = *o->tracer();
-      t.instant(t.intern("sched.plan"), engine_.now(), obs::kNoSpan,
-                static_cast<double>(plan.paths.size()),
-                static_cast<double>(plan.nodes_used));
-    }
   }
   // Fallback: without monitoring data (cold start) SAGE degrades to a
   // direct transfer — never refuses to move data.
@@ -267,12 +261,6 @@ void SageEngine::adapt_transfer(LiveTransfer& live,
   const bool materially_better =
       fresh.total_mbps > live.plan.total_mbps * (1.0 + config_.replan_threshold);
   if (!materially_better) return;
-  if (obs::Observability* o = engine_.obs(); o != nullptr && o->tracer() != nullptr) {
-    obs::TraceSink& t = *o->tracer();
-    t.instant(t.intern("sched.replan"), engine_.now(), obs::kNoSpan,
-              static_cast<double>(fresh.paths.size()),
-              static_cast<double>(fresh.nodes_used));
-  }
   live.transfer->reset_lanes(build_lanes(fresh, live.src_gw, live.dst_gw, live.src));
   live.plan = fresh;
   ++history_[live.record_index].replans;

@@ -154,10 +154,9 @@ class SageEngine final : public stream::TransferBackend {
 
   // -- Introspection ---------------------------------------------------------
 
-  /// Event-loop accounting for the introspection report. The fields mirror
-  /// SimEngine's counter surface exactly — sim::ShardedSimEngine exposes the
-  /// same aggregates summed over its lanes, so a sharded deployment reports
-  /// through this struct unchanged.
+  /// Event-loop accounting for the introspection report, read from this
+  /// engine's own SimEngine. Each lane of a sharded deployment has its own
+  /// SageEngine and reports its lane's counters; nothing sums lanes.
   struct RuntimeStats {
     SimTime now;
     std::uint64_t events_scheduled = 0;

@@ -28,14 +28,6 @@ TransferEstimate TradeoffSolver::nodes_for_budget(const TradeoffInputs& in,
   return options.front();  // over budget even at n=1; run minimally
 }
 
-std::optional<TransferEstimate> TradeoffSolver::nodes_for_deadline(
-    const TradeoffInputs& in, SimDuration deadline) const {
-  for (const TransferEstimate& e : frontier(in)) {
-    if (e.time <= deadline) return e;  // smallest n meeting it == cheapest
-  }
-  return std::nullopt;
-}
-
 TransferEstimate TradeoffSolver::knee(const TradeoffInputs& in) const {
   const auto options = frontier(in);
   if (options.size() == 1) return options.front();

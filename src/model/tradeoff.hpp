@@ -13,7 +13,6 @@
 // for minimum cost" point the evaluation singles out.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/memo_ring.hpp"
@@ -64,11 +63,6 @@ class TradeoffSolver {
   /// `fits_budget` on the result tells the caller it is over).
   [[nodiscard]] TransferEstimate nodes_for_budget(const TradeoffInputs& in,
                                                   Money budget) const;
-
-  /// Cheapest configuration meeting the deadline, or nullopt if even
-  /// max_nodes misses it.
-  [[nodiscard]] std::optional<TransferEstimate> nodes_for_deadline(
-      const TradeoffInputs& in, SimDuration deadline) const;
 
   /// Knee of the frontier: the n with the best time-saved per cost-added
   /// ratio (both axes normalized to their frontier range).

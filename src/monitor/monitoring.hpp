@@ -35,7 +35,6 @@ struct LinkEstimate {
   double stddev_mbps = 0.0;
   std::size_t samples = 0;
 
-  [[nodiscard]] ByteRate mean_rate() const { return ByteRate::mb_per_sec(mean_mbps); }
   [[nodiscard]] bool ready() const { return samples > 0; }
 };
 

@@ -79,11 +79,6 @@ void GeoTransfer::bind_obs() {
   obs_hop_failures_ = m.counter("transfer.hop_failures");
   obs_throughput_ = m.histogram("transfer.throughput_mbps",
                                 {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
-  tracer_ = o->tracer();
-  if (tracer_ != nullptr) {
-    transfer_name_ = tracer_->intern("transfer");
-    chunk_name_ = tracer_->intern("transfer.chunk");
-  }
 }
 
 GeoTransfer::~GeoTransfer() { *alive_ = false; }
@@ -128,13 +123,7 @@ void GeoTransfer::start() {
   SAGE_CHECK_MSG(!running_ && !finished_, "start() is one-shot");
   running_ = true;
   started_ = engine_.now();
-  if (obs_started_ != nullptr) {
-    obs_started_->add();
-    if (tracer_ != nullptr) {
-      span_ = tracer_->begin(transfer_name_, started_, obs::kNoSpan,
-                             size_.to_mb(), static_cast<double>(lanes_.size()));
-    }
-  }
+  if (obs_started_ != nullptr) obs_started_->add();
   for (int c = 0; c < stats_.chunks_total; ++c) pool_.push_back(c);
   pump();
 }
@@ -181,9 +170,6 @@ void GeoTransfer::pump() {
       if (cs.delivered) continue;  // stale retransmit entry
       ++cs.in_flight;
       ++lane->in_lane;
-      if (tracer_ != nullptr && cs.span == obs::kNoSpan) {
-        cs.span = tracer_->begin(chunk_name_, engine_.now(), span_, cs.size.to_mb());
-      }
       arm_timeout(chunk);
       send_hop(lane, chunk, 0);
       if (!*alive) return;
@@ -302,9 +288,6 @@ void GeoTransfer::on_delivered(LaneState& lane, int chunk) {
   if (obs_chunks_ != nullptr) {
     obs_chunks_->add();
     obs_bytes_->add(static_cast<std::uint64_t>(cs.size.count()));
-    if (tracer_ != nullptr && cs.span != obs::kNoSpan) {
-      tracer_->end(cs.span, engine_.now());
-    }
   }
 
   // End-to-end acknowledgement: one-way control message back to the source.
@@ -386,10 +369,6 @@ void GeoTransfer::finish(bool ok) {
     (ok ? obs_completed_ : obs_failed_)->add();
     if (ok && result.elapsed() > SimDuration::zero()) {
       obs_throughput_->observe(result.throughput().bytes_per_second() / 1e6);
-    }
-    if (tracer_ != nullptr && span_ != obs::kNoSpan) {
-      tracer_->end(span_, result.finished, /*a=*/0.0,
-                   /*b=*/static_cast<double>(stats_.retransmissions));
     }
   }
   on_done_(result);

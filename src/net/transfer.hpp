@@ -137,7 +137,6 @@ class GeoTransfer {
     bool acked = false;
     int attempts = 0;
     int in_flight = 0;  // concurrent copies (original + retransmits)
-    obs::SpanId span = obs::kNoSpan;  // open from first admission to delivery
   };
 
   void pump();
@@ -172,8 +171,7 @@ class GeoTransfer {
   int completed_ = 0;  // chunks acknowledged
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
-  // Observability (all null/zero when the engine has obs disabled).
-  obs::TraceSink* tracer_ = nullptr;
+  // Observability (all null when the engine has obs disabled).
   obs::Counter* obs_started_ = nullptr;
   obs::Counter* obs_completed_ = nullptr;
   obs::Counter* obs_failed_ = nullptr;
@@ -183,9 +181,6 @@ class GeoTransfer {
   obs::Counter* obs_duplicates_ = nullptr;
   obs::Counter* obs_hop_failures_ = nullptr;
   obs::Histogram* obs_throughput_ = nullptr;
-  obs::SpanId span_ = obs::kNoSpan;
-  std::uint32_t transfer_name_ = 0;  // interned span names
-  std::uint32_t chunk_name_ = 0;
 };
 
 /// Convenience: single-lane direct transfer src -> dst.

@@ -42,11 +42,6 @@ TreeTransfer::TreeTransfer(cloud::CloudProvider& provider, Bytes size,
     obs_failed_ = m.counter("tree_transfer.failed");
     obs_edge_failures_ = m.counter("tree_transfer.edge_failures");
     obs_bytes_ = m.counter("tree_transfer.bytes.delivered");
-    tracer_ = o->tracer();
-    if (tracer_ != nullptr) {
-      tree_name_ = tracer_->intern("tree_transfer");
-      node_name_ = tracer_->intern("tree_transfer.node_complete");
-    }
   }
 }
 
@@ -56,13 +51,7 @@ void TreeTransfer::start() {
   SAGE_CHECK_MSG(!running_ && !finished_, "start() is one-shot");
   running_ = true;
   started_ = engine_.now();
-  if (obs_started_ != nullptr) {
-    obs_started_->add();
-    if (tracer_ != nullptr) {
-      span_ = tracer_->begin(tree_name_, started_, obs::kNoSpan, size_.to_mb(),
-                             static_cast<double>(tree_.size()));
-    }
-  }
+  if (obs_started_ != nullptr) obs_started_->add();
   // The root owns every chunk; every root-child edge may begin immediately.
   std::fill(has_chunk_[0].begin(), has_chunk_[0].end(), true);
   received_[0] = static_cast<int>(chunk_sizes_.size());
@@ -152,21 +141,8 @@ void TreeTransfer::on_arrival(int node, int chunk) {
   if (received_[static_cast<std::size_t>(node)] ==
       static_cast<int>(chunk_sizes_.size())) {
     completion_[static_cast<std::size_t>(node)] = engine_.now() - started_;
-    if (tracer_ != nullptr && span_ != obs::kNoSpan) {
-      tracer_->instant(node_name_, engine_.now(), span_, static_cast<double>(node));
-    }
     if (++nodes_complete_ == static_cast<int>(tree_.size())) finish(true);
   }
-
-  // Track globally complete chunks (delivered to every node).
-  bool everywhere = true;
-  for (std::size_t n = 0; n < tree_.size(); ++n) {
-    if (!has_chunk_[n][static_cast<std::size_t>(chunk)]) {
-      everywhere = false;
-      break;
-    }
-  }
-  if (everywhere) ++chunks_complete_;
 }
 
 void TreeTransfer::finish(bool ok) {
@@ -184,12 +160,7 @@ void TreeTransfer::finish(bool ok) {
   result.finished = engine_.now();
   result.node_completion = completion_;
   result.edge_failures = edge_failures_;
-  if (obs_completed_ != nullptr) {
-    (ok ? obs_completed_ : obs_failed_)->add();
-    if (tracer_ != nullptr && span_ != obs::kNoSpan) {
-      tracer_->end(span_, result.finished);
-    }
-  }
+  if (obs_completed_ != nullptr) (ok ? obs_completed_ : obs_failed_)->add();
   on_done_(result);
 }
 

@@ -10,7 +10,6 @@
 // attempt accounting like the point-to-point GeoTransfer.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -55,8 +54,6 @@ class TreeTransfer {
   void cancel();
 
   [[nodiscard]] bool finished() const { return finished_; }
-  /// Chunks fully delivered to every node.
-  [[nodiscard]] int chunks_complete() const { return chunks_complete_; }
 
  private:
   struct EdgeState {
@@ -86,23 +83,18 @@ class TreeTransfer {
   std::vector<SimDuration> completion_;
   std::vector<cloud::FlowId> active_flows_;
   SimTime started_;
-  int chunks_complete_ = 0;
   int nodes_complete_ = 0;
   int edge_failures_ = 0;
   bool running_ = false;
   bool finished_ = false;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
-  // Observability (null/zero when the engine has obs disabled).
-  obs::TraceSink* tracer_ = nullptr;
+  // Observability (null when the engine has obs disabled).
   obs::Counter* obs_started_ = nullptr;
   obs::Counter* obs_completed_ = nullptr;
   obs::Counter* obs_failed_ = nullptr;
   obs::Counter* obs_edge_failures_ = nullptr;
   obs::Counter* obs_bytes_ = nullptr;  // bytes landed across all tree nodes
-  obs::SpanId span_ = obs::kNoSpan;
-  std::uint32_t tree_name_ = 0;
-  std::uint32_t node_name_ = 0;
 };
 
 }  // namespace sage::net

@@ -135,8 +135,8 @@ void SimEngine::remove_at(std::size_t i) {
   }
 }
 
-void SimEngine::enable_obs(const obs::ObsConfig& config) {
-  if (obs_ == nullptr) obs_ = std::make_unique<obs::Observability>(config);
+void SimEngine::enable_obs(const obs::ObsConfig& /*config*/) {
+  if (obs_ == nullptr) obs_ = std::make_unique<obs::Observability>();
 }
 
 bool SimEngine::enable_obs_from_env() {

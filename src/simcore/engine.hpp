@@ -111,14 +111,14 @@ class SimEngine {
   /// Scheduled events that have neither fired nor been cancelled.
   [[nodiscard]] std::size_t live_events() const { return heap_.size(); }
 
-  /// Attach an observability bundle (metrics registry + optional tracer) to
-  /// this engine. Must be called before constructing the components that
-  /// should report into it — they cache registry cell pointers when built.
+  /// Attach a metrics registry to this engine. Must be called before
+  /// constructing the components that should report into it — they cache
+  /// registry cell pointers when built.
   void enable_obs(const obs::ObsConfig& config);
   /// enable_obs() iff the SAGE_OBS environment variable is a non-empty value
   /// other than "0". Returns whether observability is now enabled.
   bool enable_obs_from_env();
-  /// The engine-owned bundle, or nullptr when observability is off. This is
+  /// The engine-owned registry, or nullptr when observability is off. This is
   /// the single switch every instrumented layer keys off.
   [[nodiscard]] obs::Observability* obs() const { return obs_.get(); }
   /// Publish the engine's own counters (sim.events.*, sim.time_seconds) into

@@ -74,6 +74,9 @@ class JobGraph {
   [[nodiscard]] std::vector<cloud::Region> sites_used() const;
   /// Edges whose endpoints live on different sites.
   [[nodiscard]] std::vector<Edge> wan_edges() const;
+  /// Every vertex id in a topological order (Kahn's algorithm); throws
+  /// CheckFailure when the graph has a cycle.
+  [[nodiscard]] std::vector<VertexId> topological_order() const;
 
   /// Throws CheckFailure on malformed graphs: cycles, dangling ids, sinks
   /// with outputs, sources with inputs, a port-1 edge into a non-join, or
@@ -90,10 +93,6 @@ class JobGraph {
   [[nodiscard]] std::vector<bool> live_value_outputs() const;
 
  private:
-  /// Every vertex id in a topological order (Kahn's algorithm); throws
-  /// CheckFailure when the graph has a cycle.
-  [[nodiscard]] std::vector<VertexId> topological_order() const;
-
   std::vector<Vertex> vertices_;
   std::vector<Edge> edges_;
 };

@@ -136,8 +136,6 @@ void StreamRuntime::start() {
     // One count per stateless pass. The name is older than per-operator
     // vertices; perfbench reads it.
     obs_stateless_passes_ = m.counter("stream.fused.stages");
-    tracer_ = o->tracer();
-    if (tracer_ != nullptr) wan_span_name_ = tracer_->intern("stream.wan_batch");
   }
 }
 
@@ -327,10 +325,6 @@ void StreamRuntime::pump_geo(GeoBatcher& b) {
   const cloud::Region dst = graph_.vertex(b.edge.to).site;
   const Bytes size = batch.wire_size();
   b.in_flight_records = batch.size();
-  if (tracer_ != nullptr) {
-    b.span = tracer_->begin(wan_span_name_, engine_.now(), obs::kNoSpan,
-                            static_cast<double>(batch.size()), size.to_mb());
-  }
   auto alive = alive_;
   GeoBatcher* raw = &b;
   backend_.send(src, dst, size,
@@ -353,10 +347,6 @@ void StreamRuntime::pump_geo(GeoBatcher& b) {
                       obs_wan_records_lost_->add(batch.size());
                     }
                     recycle(std::move(batch));
-                  }
-                  if (tracer_ != nullptr && raw->span != obs::kNoSpan) {
-                    tracer_->end(raw->span, engine_.now());
-                    raw->span = obs::kNoSpan;
                   }
                   raw->in_flight = false;
                   raw->in_flight_records = 0;

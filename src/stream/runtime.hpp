@@ -141,7 +141,6 @@ class StreamRuntime {
     std::size_t in_flight_records = 0;
     std::deque<RecordBatch> backlog;
     std::unique_ptr<sim::PeriodicTask> flusher;
-    obs::SpanId span = obs::kNoSpan;  // open WAN-batch span
   };
 
   /// One resolved out-edge: local edges carry a null `geo`, WAN edges point
@@ -195,14 +194,12 @@ class StreamRuntime {
   std::vector<std::optional<cloud::VmId>> site_vms_;  // sized topology regions
   WanStats wan_;
   std::vector<VertexObs> vobs_;  // built at start(); empty when obs is off
-  obs::TraceSink* tracer_ = nullptr;
   obs::Counter* obs_wan_batches_ = nullptr;
   obs::Counter* obs_wan_bytes_ = nullptr;
   obs::Counter* obs_wan_failures_ = nullptr;
   obs::Counter* obs_wan_records_recv_ = nullptr;
   obs::Counter* obs_wan_records_lost_ = nullptr;
   obs::Counter* obs_stateless_passes_ = nullptr;
-  std::uint32_t wan_span_name_ = 0;
   bool running_ = false;
   bool started_ = false;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

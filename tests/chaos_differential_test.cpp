@@ -72,10 +72,8 @@ std::string chaos_digest(const EngineKnobs& knobs) {
       plan.shards, plan.lookahead, knobs.parallel, knobs.max_workers});
   const auto lane_of = [&](Region r) -> std::size_t { return plan.shard(r); };
 
-  obs::ObsConfig cfg;
-  cfg.tracing = false;
   for (std::size_t l = 0; l < engine.lane_count(); ++l) {
-    engine.shard(l).enable_obs(cfg);
+    engine.shard(l).enable_obs(obs::ObsConfig{});
   }
 
   std::vector<std::unique_ptr<cloud::Fabric>> fabrics;

@@ -71,9 +71,7 @@ void fuzz_fabric_world(std::uint64_t seed, std::size_t shards) {
       sim::ShardedSimEngine::Options{splan.shards, splan.lookahead, true, 0});
   const std::size_t lanes = engine.lane_count();
 
-  obs::ObsConfig cfg;
-  cfg.tracing = false;
-  for (std::size_t l = 0; l < lanes; ++l) engine.shard(l).enable_obs(cfg);
+  for (std::size_t l = 0; l < lanes; ++l) engine.shard(l).enable_obs(obs::ObsConfig{});
 
   std::vector<std::unique_ptr<cloud::Fabric>> fabrics;
   std::vector<ChaosTargets> targets;
@@ -144,9 +142,7 @@ void fuzz_fabric_world(std::uint64_t seed, std::size_t shards) {
 
 void fuzz_stream_world(std::uint64_t seed) {
   sim::SimEngine engine;
-  obs::ObsConfig cfg;
-  cfg.tracing = false;
-  engine.enable_obs(cfg);
+  engine.enable_obs(obs::ObsConfig{});
   cloud::CloudProvider provider(engine, cloud::stable_topology(), seed);
   Rng rng(seed ^ 0xf522u);
 

@@ -123,9 +123,7 @@ TEST(ChaosFabric, LinkDownStrandsFlowsAndLinkUpResumes) {
 
 TEST(ChaosFabric, LinkDownWithAbortFailsCrossingFlows) {
   sim::SimEngine engine;
-  obs::ObsConfig cfg;
-  cfg.tracing = false;
-  engine.enable_obs(cfg);
+  engine.enable_obs(obs::ObsConfig{});
   cloud::Fabric fabric(engine, cloud::stable_topology(), 1);
   const auto src = fabric.add_node(kNEU, nic(), nic());
   const auto dst = fabric.add_node(kNUS, nic(), nic());

@@ -160,17 +160,6 @@ TEST_F(SolverFixture, BudgetPicksFastestAffordable) {
   EXPECT_GE(picked.nodes, 3);
 }
 
-TEST_F(SolverFixture, DeadlinePicksCheapestMeetingIt) {
-  const auto frontier = solver.frontier(inputs);
-  // Deadline exactly achievable with 4 nodes.
-  const SimDuration deadline = frontier[3].time + SimDuration::seconds(1);
-  const auto picked = solver.nodes_for_deadline(inputs, deadline);
-  ASSERT_TRUE(picked.has_value());
-  EXPECT_EQ(picked->nodes, 4);
-  // Impossible deadline.
-  EXPECT_FALSE(solver.nodes_for_deadline(inputs, SimDuration::millis(1)).has_value());
-}
-
 TEST_F(SolverFixture, KneeIsInteriorForTypicalInputs) {
   const auto knee = solver.knee(inputs);
   EXPECT_GT(knee.nodes, 1);

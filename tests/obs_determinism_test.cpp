@@ -1,11 +1,10 @@
 // Differential observability suite.
 //
 // The observability layer's two core promises, pinned by construction:
-//   1. enabling metrics + tracing never perturbs a simulation — the same
-//      seed produces bit-identical sim results with obs on or off;
-//   2. obs output itself is deterministic — metric snapshots and serialized
-//      traces are byte-identical across harness thread counts and repeated
-//      runs.
+//   1. enabling metrics never perturbs a simulation — the same seed
+//      produces bit-identical sim results with obs on or off;
+//   2. obs output itself is deterministic — metric snapshots are
+//      byte-identical across harness thread counts and repeated runs.
 // Plus the engine event-accounting invariant: events_scheduled() ==
 // events_fired() + events_cancelled() + live_events(), through cancels,
 // reschedules and firings.
@@ -212,54 +211,6 @@ TEST(MetricsRegistryTest, HistogramBucketsAreInclusiveUpperBounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace sink semantics.
-// ---------------------------------------------------------------------------
-
-TEST(TraceSinkTest, SerializeRendersDepthInstantsAndAttrs) {
-  obs::TraceSink t(16);
-  const auto root = t.begin(t.intern("root"), SimTime::epoch(), obs::kNoSpan,
-                            /*a=*/64.0, /*b=*/2.0);
-  const auto child = t.begin(t.intern("child"),
-                             SimTime::epoch() + SimDuration::millis(500), root);
-  t.instant(t.intern("mark"), SimTime::epoch() + SimDuration::seconds(1), child);
-  t.end(child, SimTime::epoch() + SimDuration::millis(1500));
-  t.end(root, SimTime::epoch() + SimDuration::seconds(2));
-  const auto open = t.begin(t.intern("late"), SimTime::epoch() + SimDuration::seconds(3));
-  (void)open;
-
-  EXPECT_EQ(t.serialize(),
-            "- root t=0.000000 dur=2.000000 a=64 b=2\n"
-            "  - child t=0.500000 dur=1.000000\n"
-            "    @ mark t=1.000000\n"
-            "- late t=3.000000 open\n");
-  EXPECT_EQ(t.emitted(), 4u);
-  EXPECT_EQ(t.dropped(), 0u);
-}
-
-TEST(TraceSinkTest, RingDropsOldestAndEndIsIdValidated) {
-  obs::TraceSink t(4);
-  std::vector<obs::SpanId> ids;
-  for (int i = 0; i < 10; ++i) {
-    ids.push_back(t.begin(t.intern("s"), SimTime::epoch() + SimDuration::seconds(i)));
-  }
-  EXPECT_EQ(t.emitted(), 10u);
-  EXPECT_EQ(t.dropped(), 6u);
-
-  // Closing an overwritten span is a no-op, not a corruption of whichever
-  // span reused its slot.
-  t.end(ids[0], SimTime::epoch() + SimDuration::seconds(99));
-  const auto retained = t.spans();
-  ASSERT_EQ(retained.size(), 4u);
-  EXPECT_EQ(retained.front().id, ids[6]);
-  EXPECT_EQ(retained.back().id, ids[9]);
-  for (const obs::Span& s : retained) EXPECT_FALSE(s.closed);
-
-  // Closing a retained span works normally.
-  t.end(ids[9], SimTime::epoch() + SimDuration::seconds(20));
-  EXPECT_TRUE(t.spans().back().closed);
-}
-
-// ---------------------------------------------------------------------------
 // Differential: metric snapshots across harness thread counts, and sim
 // results with obs on vs off.
 // ---------------------------------------------------------------------------
@@ -355,34 +306,10 @@ TEST(ObsDeterminism, SimResultsIdenticalWithObsOnOrOff) {
     on_table = render_sweep(2).table;
   }
   // Observability must not perturb the simulation: the rendered results are
-  // bit-identical whether or not metrics and traces were collected.
+  // bit-identical whether or not metrics were collected.
   EXPECT_EQ(off.table, on_table);
   // And with obs off, no task collected anything.
   for (const std::string& m : off.metrics) EXPECT_TRUE(m.empty());
-}
-
-TEST(ObsDeterminism, TraceStreamIsReproducible) {
-  auto run = [] {
-    ScopedEnv obs_on("SAGE_OBS", "1");
-    bench::World world(/*seed=*/42);
-    auto& provider = *world.provider;
-    const auto src = provider.provision(cloud::Region::kNorthEU, cloud::VmSize::kSmall);
-    const auto dst = provider.provision(cloud::Region::kWestUS, cloud::VmSize::kSmall);
-    bool done = false;
-    net::GeoTransfer transfer(provider, Bytes::mb(16),
-                              net::direct_lane(src.id, dst.id), net::TransferConfig{},
-                              [&](const net::TransferResult&) { done = true; });
-    transfer.start();
-    EXPECT_TRUE(world.run_until([&] { return done; }));
-    EXPECT_NE(world.engine.obs(), nullptr);
-    EXPECT_NE(world.engine.obs()->tracer(), nullptr);
-    return world.engine.obs()->tracer()->serialize();
-  };
-  const std::string first = run();
-  EXPECT_FALSE(first.empty());
-  EXPECT_NE(first.find("- transfer "), std::string::npos);
-  EXPECT_NE(first.find("- transfer.chunk "), std::string::npos);
-  EXPECT_EQ(first, run());
 }
 
 }  // namespace

@@ -297,9 +297,7 @@ class FabricMetricsConservation : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(FabricMetricsConservation, CountersBalanceExactly) {
   sim::SimEngine engine;
-  obs::ObsConfig cfg;
-  cfg.tracing = false;
-  engine.enable_obs(cfg);
+  engine.enable_obs(obs::ObsConfig{});
   cloud::Fabric fabric(engine, cloud::default_topology(), GetParam());
   Rng rng(GetParam() * 7919 + 5);
 
@@ -401,9 +399,7 @@ class StreamMetricsConservation : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(StreamMetricsConservation, RecordsBalanceAcrossRandomPipelines) {
   const std::uint64_t seed = GetParam();
   sim::SimEngine engine;
-  obs::ObsConfig cfg;
-  cfg.tracing = false;
-  engine.enable_obs(cfg);
+  engine.enable_obs(obs::ObsConfig{});
   cloud::CloudProvider provider(engine, cloud::stable_topology(), seed);
   Rng rng(seed ^ 0x5eedu);
 

@@ -275,5 +275,76 @@ TEST_F(SageFixture, ControlPlaneMemosCollapseIdenticalDecisions) {
   }
 }
 
+// A pinned two-send scenario along the fig6 cost/time axis: a 24 MB send
+// at the default tradeoff, then a 12 MB send under a $0.05 budget, on the
+// stable topology at seed 1234 between NEU and NUS. Every field of both
+// decision records is asserted exactly, so a change to the planner, the
+// solver, the transfer engine or the fabric's bandwidth arithmetic that
+// moves either send fails here.
+TEST(SagePinnedScenario, CostTimeSendsMatchRecordedDecisions) {
+  StableWorld world(1234);
+  SageConfig config;
+  config.regions = {kNEU, kNUS};
+  config.monitoring.probe_interval = SimDuration::minutes(1);
+  SageEngine engine(*world.provider, config);
+  engine.deploy();
+  world.engine.run_until(world.engine.now() + SimDuration::minutes(10));
+
+  int done = 0;
+  engine.send(kNEU, kNUS, Bytes::mb(24), [&](const SendOutcome& o) {
+    EXPECT_TRUE(o.ok);
+    ++done;
+  });
+  ASSERT_TRUE(run_until(world.engine, [&] { return done == 1; }));
+  model::Tradeoff cheap;
+  cheap.budget = Money::usd(0.05);
+  engine.send_with(cheap, kNEU, kNUS, Bytes::mb(12), [&](const SendOutcome& o) {
+    EXPECT_TRUE(o.ok);
+    ++done;
+  });
+  ASSERT_TRUE(run_until(world.engine, [&] { return done == 2; }));
+
+  struct Pinned {
+    Bytes size;
+    int estimate_nodes;
+    std::int64_t estimate_us;
+    std::int64_t estimate_cpu_micro_usd;
+    std::int64_t estimate_bandwidth_micro_usd;
+    std::int64_t estimate_egress_micro_usd;
+    int lanes;
+    std::int64_t elapsed_us;
+    int chunks;
+  };
+  const Pinned pinned[] = {
+      {Bytes::mb(24), 5, 2'455'559, 100, 100, 2'880, 5, 3'993'080, 6},
+      {Bytes::mb(12), 5, 1'290'180, 52, 53, 1'440, 5, 2'437'610, 3},
+  };
+  ASSERT_EQ(engine.history().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    const SendRecord& rec = engine.history()[i];
+    const Pinned& want = pinned[i];
+    EXPECT_EQ(rec.src, kNEU);
+    EXPECT_EQ(rec.dst, kNUS);
+    EXPECT_EQ(rec.size, want.size);
+    ASSERT_TRUE(rec.estimate.has_value());
+    EXPECT_EQ(rec.estimate->nodes, want.estimate_nodes);
+    EXPECT_EQ(rec.estimate->time.count_micros(), want.estimate_us);
+    EXPECT_EQ(rec.estimate->vm_cpu_cost.count_micro_usd(), want.estimate_cpu_micro_usd);
+    EXPECT_EQ(rec.estimate->vm_bandwidth_cost.count_micro_usd(),
+              want.estimate_bandwidth_micro_usd);
+    EXPECT_EQ(rec.estimate->egress_cost.count_micro_usd(), want.estimate_egress_micro_usd);
+    EXPECT_EQ(rec.lanes_used, want.lanes);
+    EXPECT_EQ(rec.replans, 0);
+    EXPECT_TRUE(rec.ok);
+    EXPECT_EQ(rec.elapsed.count_micros(), want.elapsed_us);
+    EXPECT_EQ(rec.stats.chunks_total, want.chunks);
+    EXPECT_EQ(rec.stats.chunks_delivered, want.chunks);
+    EXPECT_EQ(rec.stats.retransmissions, 0);
+    EXPECT_EQ(rec.stats.duplicates_dropped, 0);
+    EXPECT_EQ(rec.stats.hop_failures, 0);
+  }
+}
+
 }  // namespace
 }  // namespace sage::core

@@ -125,18 +125,14 @@ TEST_F(TreeFixture, CancelFiresCallbackOnce) {
 TEST_F(TreeFixture, ChunkCompletionCounterReachesTotal) {
   TransferConfig config;
   config.chunk_size = Bytes::mb(2);
-  TreeResult out{};
-  bool done = false;
-  TreeTransfer t(provider(), Bytes::mb(10),
-                 {{vm(kNEU), -1}, {vm(kWEU), 0}, {vm(kNUS), 0}}, config,
-                 [&](const TreeResult& r) {
-                   out = r;
-                   done = true;
-                 });
-  t.start();
-  ASSERT_TRUE(run_until(world.engine, [&] { return done; }, SimDuration::hours(2)));
-  ASSERT_TRUE(out.ok);
-  EXPECT_EQ(t.chunks_complete(), 5);
+  const TreeResult r = run_tree(
+      Bytes::mb(10), {{vm(kNEU), -1}, {vm(kWEU), 0}, {vm(kNUS), 0}}, config);
+  ASSERT_TRUE(r.ok);
+  // Every node completes once all five 2 MB chunks have landed there.
+  ASSERT_EQ(r.node_completion.size(), 3u);
+  EXPECT_TRUE(r.node_completion[0].is_zero());
+  EXPECT_GT(r.node_completion[1], SimDuration::zero());
+  EXPECT_GT(r.node_completion[2], SimDuration::zero());
 }
 
 TEST_F(TreeFixture, RejectsMalformedTrees) {
